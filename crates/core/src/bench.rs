@@ -524,7 +524,7 @@ fn run_stress_grid(quick: bool) -> u64 {
 /// independent simulation (own model, scheduler, RNG), so the sweep runs
 /// cells concurrently on `--sim-threads` OS threads (default 4) via
 /// [`par::run_independent`], largest cells first (LPT order) for the best
-/// makespan. Each cell itself runs the classic sequential engine — results
+/// makespan. Each cell itself runs unpartitioned, as one domain — results
 /// are the per-cell op counts, summed, identical at every thread count.
 fn run_stress_grid_mt(quick: bool) -> u64 {
     let threads = cluster::sim_threads().unwrap_or(4);
@@ -801,14 +801,14 @@ mod tests {
     }
 
     #[test]
-    fn partitionable_grid_cell_matches_classic_engine() {
-        // the same cell through the classic engine and the windowed engine
+    fn partitionable_grid_cell_matches_unpartitioned_run() {
+        // the same cell unpartitioned and on the windowed engine
         // (2 domains) must complete the same ops
-        let classic = run_grid_cell(16, 4, "create", 50, false);
+        let unpartitioned = run_grid_cell(16, 4, "create", 50, false);
         cluster::set_sim_threads(Some(2));
         let windowed = run_grid_cell(16, 4, "create", 50, true);
         cluster::set_sim_threads(None);
-        assert_eq!(classic, windowed);
+        assert_eq!(unpartitioned, windowed);
     }
 
     fn fake_report(scenario: &str, median: f64) -> BenchReport {

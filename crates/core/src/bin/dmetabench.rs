@@ -110,7 +110,7 @@ OPTIONS:
   --sim-threads <N>          sim mode: OS threads for partitionable models
                              (conservative windowed engine, bit-identical
                              results at any N; non-partitionable models run
-                             the classic sequential engine regardless)
+                             unpartitioned, as one domain, regardless)
   --trace-out <DIR>          write a Chrome trace (<label>.trace.json) and a
                              metrics summary (<label>.metrics.json) into DIR
   --metrics                  print the run's metrics summary JSON

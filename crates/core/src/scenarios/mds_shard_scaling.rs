@@ -12,8 +12,9 @@
 //! The hash-mode model is partition-conforming, so this sweep runs on the
 //! conservative windowed engine — *pinned* via
 //! [`SimConfig::pin_windowed_engine`], because at 64 saturated writers the
-//! engines' same-instant tie-breaking differs and only the windowed engine
-//! is bit-identical at every `--sim-threads` value. The report uses only
+//! same-instant tie-breaking of a partitioned run differs from an
+//! unpartitioned one, and only the partitioned run is bit-identical at
+//! every `--sim-threads` value. The report uses only
 //! [`cluster::SimRunResult`]-derived data, so the blessed baseline holds
 //! at any thread count (pinned by `tests/parsim_determinism.rs`).
 

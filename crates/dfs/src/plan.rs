@@ -327,7 +327,7 @@ pub trait DistFs: Send {
     /// `nodes` is the client-node count of the run. Models whose state
     /// genuinely splits (independent server groups, per-node client state,
     /// no cross-domain semaphores) return a [`PartitionPlan`]; the default
-    /// `None` keeps the model on the sequential engine at any
+    /// `None` runs the model unpartitioned, as one domain, at any
     /// `--sim-threads` value, which is always correct. The five paper
     /// models share a central MDS/filer (every client talks to every
     /// server through shared caches and semaphores), so they inherit the

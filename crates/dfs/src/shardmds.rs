@@ -21,7 +21,7 @@
 //!   shard on the ring, accounted as a failover per affected operation,
 //! * **partitioned execution**: [`DistFs::partition`] offers one domain per
 //!   shard group, so `--sim-threads` runs the model on the conservative
-//!   windowed engine bit-identically to the classic sequential engine.
+//!   windowed engine, with the same run result as an unpartitioned run.
 //!
 //! Costs are deliberately *flat* (a pure function of the op kind and path
 //! depth, via [`ServiceCostModel`]): a shard replica inside one window
@@ -168,6 +168,10 @@ pub struct ShardMds {
     migrations: u64,
     placement_rpcs: u64,
     failovers: u64,
+    /// Whether applied reshard events reach the `shardmds.reshard_events`
+    /// counter. Every domain replica applies the schedule, so only the
+    /// first replica counts it; the unsplit model always does.
+    counts_reshards: bool,
 }
 
 /// FNV-1a, the placement hash (stable across platforms and runs).
@@ -258,6 +262,7 @@ impl ShardMds {
             migrations: 0,
             placement_rpcs: 0,
             failovers: 0,
+            counts_reshards: true,
         }
     }
 
@@ -333,7 +338,9 @@ impl ShardMds {
                     }
                 }
             }
-            telemetry::count("shardmds.reshard_events", 1);
+            if self.counts_reshards {
+                telemetry::count("shardmds.reshard_events", 1);
+            }
         }
     }
 
@@ -503,7 +510,11 @@ impl DistFs for ShardMds {
             server_domain,
             node_domain: (0..nodes).map(|n| n % domains).collect(),
             models: (0..domains)
-                .map(|_| Box::new(ShardMds::new(self.config.clone())) as Box<dyn DistFs>)
+                .map(|d| {
+                    let mut replica = ShardMds::new(self.config.clone());
+                    replica.counts_reshards = d == 0;
+                    Box::new(replica) as Box<dyn DistFs>
+                })
                 .collect(),
             // every server stage below is preceded by a full one-way link
             // delay, and jitter is zero here, so the minimum link latency

@@ -1,7 +1,7 @@
 //! Conservative parallel discrete-event runtime: domain partitioning with
 //! lookahead windows.
 //!
-//! The sequential engine owns one [`Scheduler`](crate::Scheduler) and pops
+//! A sequential simulation owns one [`Scheduler`](crate::Scheduler) and pops
 //! events in global timestamp order. This module provides the classic
 //! *conservative* (Chandy–Misra–Bryant style) alternative: the simulation is
 //! partitioned into **domains**, each with its own scheduler, and all domains
@@ -79,7 +79,11 @@ pub struct Outbox<M> {
 }
 
 impl<M> Outbox<M> {
-    fn new(src: u32) -> Self {
+    /// The send buffer of domain `src`. [`run_conservative`] builds one per
+    /// domain; a caller that drives a lone domain itself (no peers, so
+    /// nothing is ever sent) passes its own.
+    #[must_use]
+    pub fn new(src: u32) -> Self {
         Outbox {
             src,
             seq: 0,

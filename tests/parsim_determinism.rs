@@ -162,7 +162,7 @@ fn partitioned_runs_bit_identical_across_thread_counts() {
     let baseline = run_traced(1);
 
     // evidence the windowed engine actually ran: one trace process per
-    // domain (the classic engine would emit exactly one)
+    // domain (an unpartitioned run would emit exactly one)
     assert_eq!(
         baseline.1.matches("process_name").count(),
         SERVERS,
@@ -213,8 +213,9 @@ fn pin_windowed_engine_matches_sim_threads_1() {
 }
 
 /// The sharded MDS service under a live migration schedule, run through the
-/// public `run_sim` entry: `None` = the classic sequential engine,
-/// `Some(t)` = the conservative windowed engine on `t` threads.
+/// public `run_sim` entry: `None` = unpartitioned, as one domain,
+/// `Some(t)` = one domain per shard group on the windowed engine with `t`
+/// threads.
 fn run_shardmds(threads: Option<usize>) -> (String, String, u64) {
     set_sim_threads(threads);
     let (result, report) = telemetry::capture(|| {
@@ -290,27 +291,27 @@ fn run_shardmds(threads: Option<usize>) -> (String, String, u64) {
     )
 }
 
-/// The tentpole model's determinism matrix: the classic engine and the
-/// windowed engine at every thread count agree on the run result, and the
-/// windowed engine's telemetry is byte-identical at every thread count.
+/// The sharded model's determinism matrix: the unpartitioned run and the
+/// partitioned run at every thread count agree on the run result, and the
+/// partitioned run's telemetry is byte-identical at every thread count.
 #[test]
 fn shardmds_bit_identical_across_engines_and_thread_counts() {
     let _serial = KNOB.lock().unwrap_or_else(|e| e.into_inner());
-    let classic = run_shardmds(None);
+    let unpartitioned = run_shardmds(None);
     let windowed = run_shardmds(Some(1));
     assert_eq!(
-        classic.0, windowed.0,
-        "classic and windowed engines disagree on the shardmds run"
+        unpartitioned.0, windowed.0,
+        "unpartitioned and partitioned runs disagree on the shardmds run"
     );
     // the windowed engine really ran: one telemetry process per domain
     assert_eq!(windowed.1.matches("process_name").count(), 4);
     // and the schedule really migrated under live traffic, including
-    // cross-domain referral hops, in both engines
+    // cross-domain referral hops, on both paths
     assert!(
-        classic.2 > 0,
+        unpartitioned.2 > 0,
         "no lazy migrations fired — schedule too late?"
     );
-    assert_eq!(classic.2, windowed.2);
+    assert_eq!(unpartitioned.2, windowed.2);
     for threads in [2, 4, 8] {
         let run = run_shardmds(Some(threads));
         assert_eq!(

@@ -1,15 +1,16 @@
 //! Structured errors for the partitioned-mode restrictions: a model that
-//! offers a `partition()` but then uses a feature the conservative windowed
-//! engine cannot execute must fail with a [`cluster::PartitionUnsupported`]
+//! offers a `partition()` but then uses a feature that couples domains must
+//! fail a `--sim-threads` run with a [`cluster::PartitionUnsupported`]
 //! naming the model and the feature — not an `assert!` deep inside the
-//! engine (and, pre-PR, a hang of the sibling window threads).
+//! engine (or a hang of the sibling window threads).
 //!
 //! One test per restricted feature: declared semaphores, semaphore stages,
-//! pauses, background jobs, disturbances, model timers.
+//! pauses, background jobs, disturbances, model timers. Each also runs the
+//! same model unpartitioned, as one domain, where every feature works.
 
 use cluster::{
-    run_sim_checked, set_sim_threads, Disturbance, OpStream, PartitionUnsupported,
-    PartitionedFeature, SimConfig, WorkerSpec,
+    run_sim_checked, set_sim_threads, sim_threads, Disturbance, OpStream, PartitionUnsupported,
+    PartitionedFeature, SimConfig, SimRunResult, WorkerSpec,
 };
 use dfs::{
     BackgroundJob, ClientCtx, DistFs, FsResources, MetaOp, OpPlan, PartitionPlan, SemId, SemSpec,
@@ -20,6 +21,7 @@ use simcore::{DetRng, SimDuration, SimTime};
 
 const SERVERS: usize = 2;
 const NODES: usize = 2;
+const OPS_PER_WORKER: u64 = 10;
 
 /// Which restricted feature the toy model should exercise.
 #[derive(Clone, Copy, PartialEq)]
@@ -47,7 +49,12 @@ impl DistFs for Misbehaving {
                     parallelism: 1,
                 })
                 .collect(),
-            semaphores: if self.misfeature == Misfeature::DeclareSemaphores {
+            // Semaphore stages need the semaphore declared to run. A
+            // partitioned run must get past the up-front `Semaphores` check
+            // to reach the stage check, so there it stays undeclared.
+            semaphores: if self.misfeature == Misfeature::DeclareSemaphores
+                || (self.misfeature == Misfeature::SemStages && sim_threads().is_none())
+            {
                 vec![SemSpec {
                     name: "global-lock".into(),
                     permits: 1,
@@ -141,16 +148,20 @@ impl DistFs for Misbehaving {
 /// it so the harness's default test parallelism cannot race the knob.
 static KNOB: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
-fn try_run(misfeature: Misfeature, disturbed: bool) -> Result<(), PartitionUnsupported> {
+fn try_run(
+    misfeature: Misfeature,
+    disturbed: bool,
+    threads: Option<usize>,
+) -> Result<SimRunResult, PartitionUnsupported> {
     let _serial = KNOB.lock().unwrap_or_else(|e| e.into_inner());
-    set_sim_threads(Some(2));
+    set_sim_threads(threads);
     let mut model = Misbehaving { misfeature };
     let node_names: Vec<String> = (0..NODES).map(|i| format!("n{i}")).collect();
     let workers: Vec<WorkerSpec> = (0..NODES).map(|n| WorkerSpec::new(n, 0)).collect();
     let streams: Vec<Box<dyn OpStream>> = (0..NODES)
         .map(|w| {
             Box::new(move |i: u64| {
-                (i < 10).then(|| MetaOp::Stat {
+                (i < OPS_PER_WORKER).then(|| MetaOp::Stat {
                     path: format!("/d/w{w}/f{i}"),
                 })
             }) as Box<dyn OpStream>
@@ -165,31 +176,47 @@ fn try_run(misfeature: Misfeature, disturbed: bool) -> Result<(), PartitionUnsup
             weight: 2.0,
         });
     }
-    let out = run_sim_checked(&mut model, &node_names, workers, streams, &config).map(drop);
+    let out = run_sim_checked(&mut model, &node_names, workers, streams, &config);
     set_sim_threads(None);
     out
 }
 
-fn expect_feature(result: Result<(), PartitionUnsupported>, feature: PartitionedFeature) {
-    let err = result.expect_err("the windowed engine must refuse this run");
+/// The partitioned run is refused with `feature`; the same run
+/// unpartitioned, as one domain, completes every operation.
+fn expect_feature(misfeature: Misfeature, disturbed: bool, feature: PartitionedFeature) {
+    let err = try_run(misfeature, disturbed, Some(2))
+        .expect_err("the windowed engine must refuse this run");
     assert_eq!(err.feature, feature, "wrong restriction reported: {err}");
     assert_eq!(err.model, "misbehaving");
     let msg = err.to_string();
     assert!(
-        msg.contains("--sim-threads") && msg.contains("classic sequential engine"),
+        msg.contains("rerun without --sim-threads to run the model unpartitioned, as one domain"),
         "error must carry the rerun hint: {msg}"
     );
+    expect_complete(misfeature, disturbed);
+}
+
+fn expect_complete(misfeature: Misfeature, disturbed: bool) {
+    let result = try_run(misfeature, disturbed, None).expect("one domain runs every feature");
+    assert_eq!(result.total_ops(), NODES as u64 * OPS_PER_WORKER);
+    assert!(result
+        .workers
+        .iter()
+        .all(|w| w.errors == 0 && w.finished_at.is_some()));
 }
 
 #[test]
 fn clean_partitionable_model_runs() {
-    try_run(Misfeature::None, false).expect("no restriction fires");
+    let result = try_run(Misfeature::None, false, Some(2)).expect("no restriction fires");
+    assert_eq!(result.total_ops(), NODES as u64 * OPS_PER_WORKER);
+    expect_complete(Misfeature::None, false);
 }
 
 #[test]
 fn declared_semaphores_are_refused() {
     expect_feature(
-        try_run(Misfeature::DeclareSemaphores, false),
+        Misfeature::DeclareSemaphores,
+        false,
         PartitionedFeature::Semaphores,
     );
 }
@@ -197,7 +224,8 @@ fn declared_semaphores_are_refused() {
 #[test]
 fn semaphore_stages_are_refused() {
     expect_feature(
-        try_run(Misfeature::SemStages, false),
+        Misfeature::SemStages,
+        false,
         PartitionedFeature::SemaphoreStages,
     );
 }
@@ -205,7 +233,8 @@ fn semaphore_stages_are_refused() {
 #[test]
 fn pauses_are_refused() {
     expect_feature(
-        try_run(Misfeature::Pauses, false),
+        Misfeature::Pauses,
+        false,
         PartitionedFeature::PausesOrBackground,
     );
 }
@@ -213,25 +242,20 @@ fn pauses_are_refused() {
 #[test]
 fn background_jobs_are_refused() {
     expect_feature(
-        try_run(Misfeature::Background, false),
+        Misfeature::Background,
+        false,
         PartitionedFeature::PausesOrBackground,
     );
 }
 
 #[test]
 fn disturbances_are_refused() {
-    expect_feature(
-        try_run(Misfeature::None, true),
-        PartitionedFeature::Disturbances,
-    );
+    expect_feature(Misfeature::None, true, PartitionedFeature::Disturbances);
 }
 
 #[test]
 fn model_timers_are_refused() {
-    expect_feature(
-        try_run(Misfeature::Timers, false),
-        PartitionedFeature::ModelTimers,
-    );
+    expect_feature(Misfeature::Timers, false, PartitionedFeature::ModelTimers);
 }
 
 /// The infallible `run_sim` panics with the structured error as payload, so

@@ -84,9 +84,9 @@ fn default_claim_order_matches_solo_runs() {
 }
 
 /// `--sim-threads` must never change a report: the paper-model scenarios
-/// keep the default `partition() == None`, so the engine dispatcher routes
-/// them to the classic sequential engine at every thread count — and the
-/// reports stay identical to the unset baseline, across claim orders too.
+/// keep the default `partition() == None`, so they run unpartitioned, as
+/// one domain, at every thread count — and the reports stay identical to
+/// the unset baseline, across claim orders too.
 /// (The knob is process-global; the whole matrix runs in one test body so
 /// settings never race. A concurrent test observing a temporary setting is
 /// still correct: results are thread-count-invariant by design.)

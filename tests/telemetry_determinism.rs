@@ -142,10 +142,10 @@ fn writeback_goldens_hold_across_sim_threads() {
 }
 
 /// The sharded-MDS model's telemetry counters are engine-invariant: the
-/// classic sequential engine and the windowed engine at every thread count
-/// agree on every `shardmds.*` total (the per-domain captures merge by
-/// summation), and the windowed metrics summary is byte-identical across
-/// thread counts.
+/// unpartitioned run and the partitioned run at every thread count agree on
+/// every `shardmds.*` total (the per-domain captures merge by summation),
+/// and the partitioned metrics summary is byte-identical across thread
+/// counts.
 #[test]
 fn shardmds_counters_identical_across_engines_and_thread_counts() {
     use cluster::{run_sim, set_sim_threads, SimConfig, WorkerSpec};
@@ -205,11 +205,15 @@ fn shardmds_counters_identical_across_engines_and_thread_counts() {
         report
     };
 
-    let classic = run(None);
+    let unpartitioned = run(None);
     let total_ops = (NODES * PPN) as u64 * OPS;
-    assert_eq!(classic.counter("shardmds.lookups"), total_ops);
+    assert_eq!(unpartitioned.counter("shardmds.lookups"), total_ops);
     assert!(
-        classic.counter("shardmds.migrations") > 0,
+        unpartitioned.counter("shardmds.reshard_events") > 0,
+        "the schedule must actually fire"
+    );
+    assert!(
+        unpartitioned.counter("shardmds.migrations") > 0,
         "the schedule must actually migrate under live traffic"
     );
 
@@ -229,22 +233,15 @@ fn shardmds_counters_identical_across_engines_and_thread_counts() {
             "metrics summary differs at --sim-threads {threads}"
         );
     }
-    // engine-invariance of the per-op totals (the windowed trace
-    // *structure* differs — one process per domain — but the sums must
-    // not). `reshard_events` is deliberately excluded: every domain
-    // replica applies the schedule, so it counts once per domain.
-    for name in &COUNTERS[..4] {
+    // engine-invariance of the totals (the partitioned trace *structure*
+    // differs — one process per domain — but the sums must not)
+    for name in COUNTERS {
         assert_eq!(
-            classic.counter(name),
+            unpartitioned.counter(name),
             windowed.counter(name),
-            "{name} differs between the classic and windowed engines"
+            "{name} differs between the unpartitioned and partitioned runs"
         );
     }
-    assert_eq!(
-        windowed.counter("shardmds.reshard_events"),
-        4 * classic.counter("shardmds.reshard_events"),
-        "each of the four domain replicas applies the schedule once"
-    );
 }
 
 /// Untraced runs carry no telemetry — recording stays opt-in.
