@@ -23,6 +23,11 @@
 //!   multi-threaded twins (independent event-loop lanes / concurrent grid
 //!   cells on `--sim-threads` OS threads) — same deterministic op totals,
 //!   wall-clock measures cross-core scaling.
+//!   `memfs_ops` times the memfs kernels one at a time (directory-index
+//!   insert/lookup per index kind, create/close/unlink, block allocator
+//!   alloc/free, deep-path stat); `result_pipeline` times the
+//!   post-benchmark pipeline (preprocess, TSV round trip, SVG and ASCII
+//!   time charts) on a 64-process × 600-interval result set.
 //! * any registered **suite** scenario by id (`exp_4_8_writeback`, …),
 //!   timed end to end.
 //!
@@ -30,13 +35,16 @@
 //! regression threshold) — the repo's committed BENCH files are the
 //! reference side.
 
-use crate::suite;
+use crate::{chart, preprocess, suite, ProcessTrace, ResultSet};
 use cluster::{run_sim, SimConfig, WorkerSpec};
 use dfs::{
     ClientCtx, DistFs, FsResources, MetaOp, OpPlan, PartitionPlan, SemId, SemSpec, ServerId,
     ServerSpec, Stage,
 };
-use memfs::{FsResult, MemFs, OpenFlags, Vfs};
+use memfs::{
+    new_allocator, new_index, AllocatorKind, DirIndexKind, FileType, FsResult, Ino, MemFs,
+    MemFsConfig, OpenFlags, RawEntry, Vfs,
+};
 use serde::{Deserialize, Serialize};
 use simcore::{par, DetRng, EventId, Scheduler, SimDuration, SimTime};
 use std::collections::HashMap;
@@ -122,6 +130,8 @@ pub fn micro_ids() -> &'static [&'static str] {
         "sim_hotpath_mt",
         "stress_grid",
         "stress_grid_mt",
+        "memfs_ops",
+        "result_pipeline",
     ]
 }
 
@@ -538,6 +548,170 @@ fn run_stress_grid_mt(quick: bool) -> u64 {
     .sum()
 }
 
+/// Geometry of the `memfs_ops` micro.
+struct MemfsGeometry {
+    /// Entries in the large directory index (the small one holds 100).
+    dir_entries: u64,
+    /// Repetitions of each single-op kernel: lookups per index,
+    /// create/close/unlink rounds, alloc/free pairs and deep-path stats.
+    iters: u64,
+}
+
+impl MemfsGeometry {
+    fn new(quick: bool) -> Self {
+        if quick {
+            MemfsGeometry {
+                dir_entries: 1_000,
+                iters: 2_000,
+            }
+        } else {
+            MemfsGeometry {
+                dir_entries: 10_000,
+                iters: 20_000,
+            }
+        }
+    }
+}
+
+/// The local file-system substrate, one kernel at a time: directory-index
+/// insert and lookup for every [`DirIndexKind`] at two sizes (the data
+/// structure behind the large-directory experiment, §4.3.3),
+/// create/close/unlink on hashed and B-tree directories, bitmap and extent
+/// allocator alloc+free of 64 blocks, and a five-component path stat.
+/// Returns the number of operations performed.
+fn run_memfs_ops(quick: bool) -> u64 {
+    let g = MemfsGeometry::new(quick);
+    let mut ops = 0;
+    for kind in [
+        DirIndexKind::Linear,
+        DirIndexKind::Hashed,
+        DirIndexKind::BTree,
+    ] {
+        for n in [100, g.dir_entries] {
+            let mut d = new_index(kind);
+            for i in 0..n {
+                let fresh = d.insert(RawEntry {
+                    name: format!("f{i:08}").into(),
+                    ino: Ino(i + 10),
+                    file_type: FileType::Regular,
+                });
+                assert!(fresh.value, "names are unique");
+            }
+            let mut i = 0;
+            for _ in 0..g.iters {
+                i = (i + 7919) % n;
+                let hit = d.lookup(&format!("f{i:08}"));
+                assert!(hit.value.is_some(), "populated name");
+            }
+            ops += n + g.iters;
+        }
+    }
+    for kind in [DirIndexKind::Hashed, DirIndexKind::BTree] {
+        let mut cfg = MemFsConfig::default();
+        cfg.dir_index = kind;
+        let mut fs = MemFs::with_config(cfg);
+        fs.mkdir("/w").expect("fresh fs");
+        for i in 0..g.iters {
+            let p = format!("/w/f{i}");
+            let fd = fs.create(&p).expect("unique");
+            fs.close(fd).expect("open");
+            fs.unlink(&p).expect("exists");
+        }
+        ops += 1 + 3 * g.iters;
+    }
+    for kind in [AllocatorKind::Bitmap, AllocatorKind::Extent] {
+        let mut a = new_allocator(kind, 1 << 20);
+        for _ in 0..g.iters {
+            let got = a.allocate(64).expect("space available");
+            a.free(&got.extents);
+        }
+        ops += 2 * g.iters;
+    }
+    let mut fs = MemFs::new();
+    for dir in ["/a", "/a/b", "/a/b/c", "/a/b/c/d"] {
+        fs.mkdir(dir).expect("fresh fs");
+    }
+    let fd = fs.create("/a/b/c/d/leaf").expect("fresh fs");
+    fs.close(fd).expect("open");
+    for _ in 0..g.iters {
+        std::hint::black_box(fs.stat("/a/b/c/d/leaf").expect("exists"));
+    }
+    ops + 6 + g.iters
+}
+
+/// Geometry of the `result_pipeline` micro: a result set of `processes`
+/// interval logs with `intervals` samples each, pushed through the
+/// pipeline `rounds` times.
+struct PipelineGeometry {
+    processes: usize,
+    intervals: usize,
+    rounds: u64,
+}
+
+impl PipelineGeometry {
+    fn new(quick: bool) -> Self {
+        if quick {
+            PipelineGeometry {
+                processes: 16,
+                intervals: 100,
+                rounds: 1,
+            }
+        } else {
+            PipelineGeometry {
+                processes: 64,
+                intervals: 600,
+                rounds: 4,
+            }
+        }
+    }
+}
+
+/// A synthetic MakeFiles result set: `processes` processes on 4-slot nodes,
+/// each logging a cumulative op count every 0.1 s for `intervals` intervals
+/// (64 × 600 is a 60-second run on a large cluster, §3.3.9).
+fn synthetic_result_set(processes: usize, intervals: usize) -> ResultSet {
+    ResultSet {
+        operation: "MakeFiles".into(),
+        fs_name: "nfs".into(),
+        nodes: processes / 4,
+        ppn: 4,
+        interval_s: 0.1,
+        processes: (0..processes)
+            .map(|p| {
+                let samples: Vec<(f64, u64)> = (1..=intervals)
+                    .map(|k| (k as f64 * 0.1, (k * (100 + p % 7)) as u64))
+                    .collect();
+                ProcessTrace {
+                    hostname: format!("node{}", p / 4),
+                    process_no: p,
+                    finished_at: Some(intervals as f64 * 0.1),
+                    ops_done: samples.last().map(|&(_, n)| n).unwrap_or(0),
+                    samples,
+                    errors: 0,
+                }
+            })
+            .collect(),
+    }
+}
+
+/// The post-benchmark result pipeline (§3.3.9–3.3.10): preprocessing with
+/// two fixed-N strong-scaling points, a TSV write and parse, and the SVG
+/// and ASCII time charts. Returns the number of pipeline stage calls.
+fn run_result_pipeline(quick: bool) -> u64 {
+    const STAGES: u64 = 5;
+    let g = PipelineGeometry::new(quick);
+    let rs = synthetic_result_set(g.processes, g.intervals);
+    for _ in 0..g.rounds {
+        let pre = preprocess(&rs, &[10_000, 100_000]);
+        let tsv = rs.to_tsv();
+        let back = ResultSet::from_tsv(&tsv, &rs.fs_name, rs.nodes, rs.ppn).expect("well-formed");
+        assert_eq!(back.processes.len(), rs.processes.len(), "TSV round trip");
+        std::hint::black_box(chart::svg_time_chart(&pre));
+        std::hint::black_box(chart::time_chart(&pre));
+    }
+    g.rounds * STAGES
+}
+
 /// Run one benchable scenario once; returns the op count (0 for suite
 /// scenarios).
 ///
@@ -552,6 +726,8 @@ fn run_once(id: &str) -> Result<u64, String> {
         "sim_hotpath_mt" => Ok(run_sim_hotpath_mt(false)),
         "stress_grid" => Ok(run_stress_grid(false)),
         "stress_grid_mt" => Ok(run_stress_grid_mt(false)),
+        "memfs_ops" => Ok(run_memfs_ops(false)),
+        "result_pipeline" => Ok(run_result_pipeline(false)),
         _ => {
             let scenario =
                 suite::find(id).ok_or_else(|| format!("unknown bench scenario `{id}`"))?;
@@ -570,6 +746,8 @@ fn run_once_quick(id: &str) -> Result<u64, String> {
         "sim_hotpath_mt" => Ok(run_sim_hotpath_mt(true)),
         "stress_grid" => Ok(run_stress_grid(true)),
         "stress_grid_mt" => Ok(run_stress_grid_mt(true)),
+        "memfs_ops" => Ok(run_memfs_ops(true)),
+        "result_pipeline" => Ok(run_result_pipeline(true)),
         _ => run_once(id),
     }
 }

@@ -43,7 +43,8 @@ ANALYZE OPTIONS:
 BENCH OPTIONS:
   --scenarios <A,B,...>      micro workloads (snapshot_churn, create_churn,
                              sim_hotpath, sim_hotpath_mt, stress_grid,
-                             stress_grid_mt) or suite ids
+                             stress_grid_mt, memfs_ops, result_pipeline)
+                             or suite ids
                                       [default: snapshot_churn,create_churn]
   --reps <N>                 timed repetitions after one warmup   [default: 5]
   --quick                    reduced workload geometry (CI smoke)
@@ -461,6 +462,33 @@ fn suite_main(args: &[String]) -> ExitCode {
         }
     }
 
+    // Artifacts are not gated: an unusable output directory costs one
+    // warning, not the run.
+    let mut artifact_dir: Option<Option<PathBuf>> = None;
+    for result in &run.results {
+        let Ok(output) = &result.outcome else {
+            continue;
+        };
+        println!("{}", output.render());
+        if output.artifacts.is_empty() {
+            continue;
+        }
+        let dir = artifact_dir.get_or_insert_with(|| {
+            suite::out_dir()
+                .map_err(|e| eprintln!("warning: {e}; artifacts not written"))
+                .ok()
+        });
+        let Some(dir) = dir else {
+            continue;
+        };
+        for a in &output.artifacts {
+            let path = dir.join(&a.name);
+            if let Err(e) = std::fs::write(&path, &a.content) {
+                eprintln!("warning: cannot write {}: {e}", path.display());
+            }
+        }
+    }
+
     let mut failures = 0usize;
     for result in &run.results {
         let s = result.scenario;
@@ -470,16 +498,14 @@ fn suite_main(args: &[String]) -> ExitCode {
                 format!("PANIC    {msg}")
             }
             Ok(output) => {
-                for a in &output.artifacts {
-                    let path = suite::out_dir().join(&a.name);
-                    if let Err(e) = std::fs::write(&path, &a.content) {
-                        eprintln!("warning: cannot write {}: {e}", path.display());
-                    }
-                }
-                let failed_checks = output.report.checks.iter().filter(|c| !c.passed).count();
-                if failed_checks > 0 {
+                let failed: Vec<_> = output.report.checks.iter().filter(|c| !c.passed).collect();
+                if !failed.is_empty() {
                     failures += 1;
-                    format!("CHECKS   {failed_checks} shape check(s) failed")
+                    let mut msg = format!("CHECKS   {} shape check(s) failed", failed.len());
+                    for c in failed {
+                        msg.push_str(&format!("\n           - {} — {}", c.name, c.detail));
+                    }
+                    msg
                 } else if cli.bless {
                     match baseline::save(&output.report) {
                         Ok(path) => format!("BLESSED  {}", path.display()),

@@ -1,10 +1,9 @@
 //! The experiment scenarios: one module per paper artifact.
 //!
-//! Each module ports the body of the corresponding `bench` binary into a
-//! pure `fn(&mut ReportBuilder)` that records tables, metrics (with
-//! baseline tolerances), shape checks (the former `assert!`s) and chart
-//! artifacts. The binaries in `crates/bench/src/bin/` are thin wrappers
-//! calling [`crate::suite::run_scenario_main`] with the scenario id.
+//! Each module is a pure `fn(&mut ReportBuilder)` that records tables,
+//! metrics (with baseline tolerances), shape checks and chart artifacts.
+//! `dmetabench suite --filter <id>` runs one of them, prints its tables
+//! and writes its artifacts to `target/experiments/`.
 
 use crate::suite::Scenario;
 

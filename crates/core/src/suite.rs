@@ -1,8 +1,8 @@
 //! Scenario registry and parallel shape-regression suite.
 //!
-//! Every experiment binary of the `bench` crate is a thin wrapper around a
-//! [`Scenario`] registered here. A scenario is a pure function producing a
-//! [`ShapeReport`]: the tables the binary used to print, the key numbers
+//! Every paper experiment is a [`Scenario`] registered here and run by
+//! `dmetabench suite`. A scenario is a pure function producing a
+//! [`ShapeReport`]: the tables the suite prints, the key numbers
 //! (saturation points, plateau ratios, COV windows, crossover locations) as
 //! [`Metric`]s with explicit comparison tolerances, and the former
 //! `assert!` shape checks as recorded [`ShapeCheck`]s.
@@ -41,7 +41,7 @@ pub struct Metric {
     pub tolerance: Option<f64>,
 }
 
-/// A recorded shape assertion (former `assert!` in the experiment binary).
+/// A recorded shape assertion (a former `assert!` of the experiment).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ShapeCheck {
     /// Short stable name of the property.
@@ -110,18 +110,13 @@ impl ExpTable {
         }
         out
     }
-
-    /// Print to stdout.
-    pub fn print(&self) {
-        print!("{}", self.render());
-    }
 }
 
 /// The full shape record of one scenario run — everything the baseline
 /// comparison sees.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ShapeReport {
-    /// Scenario id (equals the experiment binary name).
+    /// Scenario id (names `baselines/<id>.json`).
     pub id: String,
     /// Human title.
     pub title: String,
@@ -137,7 +132,7 @@ pub struct ShapeReport {
     pub metrics: Vec<Metric>,
     /// Shape assertions.
     pub checks: Vec<ShapeCheck>,
-    /// The tables the binary prints.
+    /// The tables `dmetabench suite` prints.
     pub tables: Vec<ExpTable>,
     /// Free-form printed lines (ASCII charts, commentary).
     pub notes: Vec<String>,
@@ -172,6 +167,25 @@ pub struct ScenarioOutput {
     pub report: ShapeReport,
     /// Side files to write to `target/experiments/`.
     pub artifacts: Vec<Artifact>,
+}
+
+impl ScenarioOutput {
+    /// The scenario's printed block: its tables, its notes, then one
+    /// `check FAIL <name> — <detail>` line per failed shape check.
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        for table in &self.report.tables {
+            out.push_str(&table.render());
+        }
+        for note in &self.report.notes {
+            out.push_str(note);
+            out.push('\n');
+        }
+        for check in self.report.checks.iter().filter(|c| !c.passed) {
+            out.push_str(&format!("check FAIL {} — {}\n", check.name, check.detail));
+        }
+        out
+    }
 }
 
 /// Incremental builder handed to scenario bodies.
@@ -275,7 +289,8 @@ impl ReportBuilder {
 /// A registered experiment scenario.
 #[derive(Debug, Clone, Copy)]
 pub struct Scenario {
-    /// Stable id — equals the experiment binary name (`exp_fig_4_4`, …).
+    /// Stable id — names the baseline file and matches `suite --filter`
+    /// (`exp_fig_4_4`, …).
     pub id: &'static str,
     /// Human title.
     pub title: &'static str,
@@ -494,56 +509,8 @@ pub fn default_jobs() -> usize {
         .unwrap_or(4)
 }
 
-/// Entry point for the thin experiment binaries: run one scenario, print
-/// its tables/notes/checks, write its artifacts, and exit non-zero if a
-/// shape check failed (preserving the old `assert!` behaviour).
-pub fn run_scenario_main(id: &str) {
-    let scenario = find(id).unwrap_or_else(|| panic!("unknown scenario '{id}'"));
-    let result = run_scenario(scenario);
-    let output = match result.outcome {
-        Ok(o) => o,
-        Err(msg) => {
-            eprintln!("scenario {id} panicked: {msg}");
-            std::process::exit(101);
-        }
-    };
-    for table in &output.report.tables {
-        table.print();
-    }
-    for note in &output.report.notes {
-        println!("{note}");
-    }
-    for artifact in &output.artifacts {
-        save_artifact(&artifact.name, &artifact.content);
-    }
-    let mut failed = 0usize;
-    for check in &output.report.checks {
-        if check.passed {
-            println!("check ok   {} — {}", check.name, check.detail);
-        } else {
-            println!("check FAIL {} — {}", check.name, check.detail);
-            failed += 1;
-        }
-    }
-    if failed > 0 {
-        println!(
-            "\nSHAPE FAIL: {failed} of {} checks failed ({}).",
-            output.report.checks.len(),
-            scenario.paper_ref
-        );
-        std::process::exit(1);
-    }
-    println!(
-        "\nSHAPE OK: {} checks hold ({} {}).",
-        output.report.checks.len(),
-        scenario.paper_ref,
-        scenario.title
-    );
-}
-
 // ---------------------------------------------------------------------------
-// shared sweep helpers (moved here from the bench crate so scenario bodies
-// and the Criterion benches use one implementation)
+// shared sweep helpers
 // ---------------------------------------------------------------------------
 
 use cluster::{run_sim, OpStream, SimConfig, SimRunResult, WorkerSpec};
@@ -607,19 +574,19 @@ pub fn makefiles_throughput(
     res.stonewall_ops_per_sec()
 }
 
-/// Output directory for experiment artifacts (`target/experiments`).
-pub fn out_dir() -> PathBuf {
+/// Output directory for experiment artifacts (`target/experiments`),
+/// created if missing.
+///
+/// # Errors
+///
+/// The directory cannot be created (read-only checkout, or a plain file in
+/// its place); the message names the path.
+pub fn out_dir() -> std::io::Result<PathBuf> {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/experiments");
-    std::fs::create_dir_all(&dir).expect("can create target/experiments");
-    dir
-}
-
-/// Write an artifact (chart, TSV) into the experiment output directory and
-/// note it on stdout.
-pub fn save_artifact(name: &str, content: &str) {
-    let path = out_dir().join(name);
-    std::fs::write(&path, content).expect("can write experiment artifact");
-    println!("[artifact] {}", path.display());
+    std::fs::create_dir_all(&dir).map_err(|e| {
+        std::io::Error::new(e.kind(), format!("cannot create {}: {e}", dir.display()))
+    })?;
+    Ok(dir)
 }
 
 /// Format ops/s for table cells.
@@ -653,8 +620,9 @@ pub fn emit_markdown(run: &SuiteRun) -> String {
          shape checks and key metrics in a [`ShapeReport`]; reports are compared\n\
          against the checked-in baselines in `baselines/*.json` on every `cargo\n\
          test` run (see `tests/suite_shapes.rs`) and by `dmetabench suite`.\n\
-         Per-scenario binaries still exist (`cargo run --release -p bench --bin\n\
-         exp_fig_4_4`) and exit non-zero if their shape checks fail.\n\
+         `dmetabench suite --filter exp_fig_4_4` runs one scenario, prints its\n\
+         tables, names each failed shape check, and exits non-zero on a failed\n\
+         check or a baseline mismatch.\n\
          \n\
          Charts are written to `target/experiments/*.svg`. Passing\n\
          `--trace-out <dir>` to `dmetabench suite` additionally writes a\n\
@@ -725,6 +693,44 @@ mod tests {
     fn wrong_row_width_panics() {
         let mut t = ExpTable::new("demo", &["a"]);
         t.row(vec!["1".into(), "2".into()]);
+    }
+
+    #[test]
+    fn render_prints_tables_notes_and_failed_checks() {
+        let mut t = ExpTable::new("Fig. X", &["a"]);
+        t.row(vec!["1".into()]);
+        let check = |name: &str, passed| ShapeCheck {
+            name: name.into(),
+            passed,
+            detail: format!("{name} detail"),
+        };
+        let output = ScenarioOutput {
+            report: ShapeReport {
+                id: "x".into(),
+                title: "X".into(),
+                paper_ref: "§0".into(),
+                deterministic: true,
+                summary: String::new(),
+                metrics: Vec::new(),
+                checks: vec![check("holds", true), check("breaks", false)],
+                tables: vec![t],
+                notes: vec!["a note".into()],
+            },
+            artifacts: Vec::new(),
+        };
+        let s = output.render();
+        assert!(s.contains("=== Fig. X ==="), "{s}");
+        assert!(s.contains("a note\n"), "{s}");
+        assert!(s.contains("check FAIL breaks — breaks detail"), "{s}");
+        assert!(!s.contains("holds"), "passing checks stay quiet: {s}");
+    }
+
+    #[test]
+    fn makefiles_helper_runs() {
+        let mut cfg = SimConfig::default();
+        cfg.duration = Some(simcore::SimDuration::from_secs(1));
+        let tp = makefiles_throughput(Box::new(dfs::NfsFs::with_defaults()), 2, 1, &cfg);
+        assert!(tp > 100.0, "got {tp}");
     }
 
     #[test]
