@@ -664,7 +664,9 @@ impl Domain<'_> {
                     // Cross-domain RPC interception: a NetDelay followed by
                     // a Server stage on a *remote* server becomes a request
                     // message — the network leg is exactly the lookahead
-                    // margin that makes the send conservative.
+                    // margin that makes the send conservative. Models build
+                    // this request/service/response shape with
+                    // `dfs::OpPlan::push_rpc`.
                     let next = self.states[w].plan.stages.get(self.states[w].stage + 1);
                     if let Some(&Stage::Server { server, demand }) = next {
                         if self.server_domain[server.0] != self.idx {

@@ -398,13 +398,15 @@ impl DistFs for GridFs {
         })
     }
 
-    fn plan(
+    fn plan_into(
         &mut self,
         client: ClientCtx,
         op: &MetaOp,
         _now: SimTime,
         _rng: &mut DetRng,
-    ) -> FsResult<OpPlan> {
+        out: &mut OpPlan,
+    ) -> FsResult<()> {
+        out.reset();
         let calls = self.calls.entry((client.node, client.proc)).or_insert(0);
         let server = ServerId((client.node * 4 + client.proc + *calls as usize) % self.servers);
         *calls += 1;
@@ -415,28 +417,24 @@ impl DistFs for GridFs {
             MetaOp::Create { .. } | MetaOp::Unlink { .. } => SimDuration::from_micros(30),
             _ => SimDuration::from_micros(10),
         };
-        let mut stages = Vec::with_capacity(6);
-        stages.push(Stage::ClientCpu {
+        out.stages.push(Stage::ClientCpu {
             demand: SimDuration::from_micros(2),
         });
-        stages.push(Stage::NetDelay {
+        out.stages.push(Stage::NetDelay {
             delay: SimDuration::from_micros(50),
         });
         let locked = self.use_sem && self.planned.is_multiple_of(4);
         if locked {
-            stages.push(Stage::AcquireSem { sem: SemId(0) });
+            out.stages.push(Stage::AcquireSem { sem: SemId(0) });
         }
-        stages.push(Stage::Server { server, demand });
+        out.stages.push(Stage::Server { server, demand });
         if locked {
-            stages.push(Stage::ReleaseSem { sem: SemId(0) });
+            out.stages.push(Stage::ReleaseSem { sem: SemId(0) });
         }
-        stages.push(Stage::NetDelay {
+        out.stages.push(Stage::NetDelay {
             delay: SimDuration::from_micros(50),
         });
-        Ok(OpPlan {
-            stages,
-            ..Default::default()
-        })
+        Ok(())
     }
 
     fn drop_caches(&mut self, _node: usize) {}

@@ -149,6 +149,14 @@ fn set_sim_threads_arg(raw: &str) -> Result<(), String> {
     Ok(())
 }
 
+/// Parse a count or step flag, which must be at least 1.
+fn parse_positive(name: &str, raw: &str) -> Result<usize, String> {
+    match raw.parse::<usize>().map_err(|e| format!("{name}: {e}"))? {
+        0 => Err(format!("{name}: must be at least 1")),
+        n => Ok(n),
+    }
+}
+
 fn parse_args() -> Result<Option<Cli>, String> {
     let mut cli = Cli {
         mode: "sim".into(),
@@ -204,21 +212,12 @@ fn parse_args() -> Result<Option<Cli>, String> {
                     CrashSpec::parse(&value("--crash")?).map_err(|e| format!("--crash: {e}"))?,
                 )
             }
-            "--nodes" => {
-                cli.nodes = value("--nodes")?
-                    .parse()
-                    .map_err(|e| format!("--nodes: {e}"))?
-            }
+            "--nodes" => cli.nodes = parse_positive("--nodes", &value("--nodes")?)?,
             "--slots-per-node" => {
-                cli.slots_per_node = value("--slots-per-node")?
-                    .parse()
-                    .map_err(|e| format!("--slots-per-node: {e}"))?
+                cli.slots_per_node =
+                    parse_positive("--slots-per-node", &value("--slots-per-node")?)?
             }
-            "--threads" => {
-                cli.threads = value("--threads")?
-                    .parse()
-                    .map_err(|e| format!("--threads: {e}"))?
-            }
+            "--threads" => cli.threads = parse_positive("--threads", &value("--threads")?)?,
             "--sim-threads" => set_sim_threads_arg(&value("--sim-threads")?)?,
             "--operations" => {
                 cli.params.operations = value("--operations")?
@@ -236,6 +235,11 @@ fn parse_args() -> Result<Option<Cli>, String> {
                 let secs: f64 = value("--duration")?
                     .parse()
                     .map_err(|e| format!("--duration: {e}"))?;
+                if !(secs.is_finite() && secs >= 0.0) {
+                    return Err(format!(
+                        "--duration: {secs} is not a finite, non-negative number of seconds"
+                    ));
+                }
                 cli.params.duration = SimDuration::from_secs_f64(secs);
             }
             "--workdir" => cli.params.workdir = value("--workdir")?,
@@ -248,15 +252,9 @@ fn parse_args() -> Result<Option<Cli>, String> {
                 );
             }
             "--nodestep" => {
-                cli.params.node_step = value("--nodestep")?
-                    .parse()
-                    .map_err(|e| format!("--nodestep: {e}"))?
+                cli.params.node_step = parse_positive("--nodestep", &value("--nodestep")?)?
             }
-            "--ppnstep" => {
-                cli.params.ppn_step = value("--ppnstep")?
-                    .parse()
-                    .map_err(|e| format!("--ppnstep: {e}"))?
-            }
+            "--ppnstep" => cli.params.ppn_step = parse_positive("--ppnstep", &value("--ppnstep")?)?,
             "--label" => cli.params.label = value("--label")?,
             "--output" => cli.output = Some(PathBuf::from(value("--output")?)),
             "--trace-out" => cli.trace_out = Some(PathBuf::from(value("--trace-out")?)),
@@ -1001,6 +999,12 @@ fn main() -> ExitCode {
                     return Err("--faults only applies to --mode sim".into());
                 }
                 let workdir = cli.params.workdir.clone();
+                // create and resolve the jail once, so a bad --workdir is an
+                // error here and not a panic inside a worker
+                let root = memfs::StdFs::new(&workdir)
+                    .map_err(|e| format!("--workdir: {workdir}: {e}"))?
+                    .root()
+                    .to_path_buf();
                 eprintln!(
                     "real mode: up to {} worker threads on {}",
                     cli.threads, workdir
@@ -1011,8 +1015,7 @@ fn main() -> ExitCode {
                 Ok(Runner::new(params).run_real(
                     move |_| {
                         Box::new(
-                            memfs::StdFs::new(&workdir)
-                                .expect("working directory must be creatable/writable"),
+                            memfs::StdFs::new(&root).expect("--workdir was created before the run"),
                         )
                     },
                     cli.threads,

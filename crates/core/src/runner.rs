@@ -15,7 +15,7 @@ use cluster::{
     execution_plan, run_sim, run_threads, Placement, RealOpStream, RunSpec, SimConfig,
     SimRunResult, ThreadRunConfig, WorkerSpec,
 };
-use dfs::{ClientCtx, DistFs, MetaOp};
+use dfs::{ClientCtx, DistFs, MetaOp, OpPlan};
 use memfs::Vfs;
 use simcore::{telemetry, DetRng, SimTime};
 
@@ -218,6 +218,7 @@ impl Runner {
         model.register_clients(node_map.len());
         // --- prepare phase (unmeasured; semantic application only) --------
         let mut rng = DetRng::new(sim_config.seed ^ 0x5051_4541);
+        let mut plan = OpPlan::default();
         for ctx in &ctxs {
             for op in plugin.prepare_ops(ctx) {
                 telemetry::count("runner.prepare_ops", 1);
@@ -225,7 +226,7 @@ impl Runner {
                     node: ctx.node,
                     proc: ctx.proc,
                 };
-                let _ = model.plan(client, &op, SimTime::ZERO, &mut rng);
+                let _ = model.plan_into(client, &op, SimTime::ZERO, &mut rng, &mut plan);
             }
         }
         if plugin.drop_caches_after_prepare() {
@@ -264,7 +265,7 @@ impl Runner {
                     node: ctx.node,
                     proc: ctx.proc,
                 };
-                let _ = model.plan(client, &op, SimTime::ZERO, &mut rng);
+                let _ = model.plan_into(client, &op, SimTime::ZERO, &mut rng, &mut plan);
             }
         }
         run
@@ -421,8 +422,10 @@ pub fn run_single(
 /// experiment binaries for ad-hoc preparation).
 pub fn apply_ops_to_model(model: &mut dyn DistFs, node: usize, ops: &[MetaOp], seed: u64) {
     let mut rng = DetRng::new(seed);
+    let mut plan = OpPlan::default();
     for op in ops {
-        let _ = model.plan(ClientCtx { node, proc: 0 }, op, SimTime::ZERO, &mut rng);
+        let client = ClientCtx { node, proc: 0 };
+        let _ = model.plan_into(client, op, SimTime::ZERO, &mut rng, &mut plan);
     }
 }
 

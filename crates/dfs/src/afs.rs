@@ -16,7 +16,7 @@ use crate::cache::{AttrCache, CallbackCache};
 use crate::costmodel::{apply_meta_op, ServiceCostModel};
 use crate::op::MetaOp;
 use crate::plan::{
-    ClientCtx, DistFs, FaultStats, FsResources, OpPlan, SemId, SemSpec, ServerId, ServerSpec, Stage,
+    ClientCtx, DistFs, FsResources, OpPlan, SemId, SemSpec, ServerId, ServerSpec, Stage,
 };
 use crate::recovery::{retry_backoff, RetryPolicy};
 use memfs::{FsError, FsResult, MemFs, MemFsConfig};
@@ -238,13 +238,15 @@ impl DistFs for AfsFs {
             .collect();
     }
 
-    fn plan(
+    fn plan_into(
         &mut self,
         client: ClientCtx,
         op: &MetaOp,
         now: SimTime,
         rng: &mut DetRng,
-    ) -> FsResult<OpPlan> {
+        out: &mut OpPlan,
+    ) -> FsResult<()> {
+        out.reset();
         // Server restarts completed by `now` have lost their callback state:
         // every outstanding callback breaks at once (the restart storm),
         // before any cache lookup below may answer locally.
@@ -263,19 +265,17 @@ impl DistFs for AfsFs {
                 telemetry::count("afs.callback_break", broken);
             }
         }
-        let mut cache_tag = telemetry::CacheTag::Untagged;
         match op {
             MetaOp::Stat { path } | MetaOp::OpenClose { path }
                 if self.callback_caches[client.node].lookup(path) =>
             {
                 telemetry::count("afs.callback_cache.hit", 1);
-                return Ok(
-                    OpPlan::local(self.config.cached_stat_cpu).with_cache(telemetry::CacheTag::Hit)
-                );
+                out.push_cache_hit(self.config.cached_stat_cpu);
+                return Ok(());
             }
             MetaOp::Stat { .. } | MetaOp::OpenClose { .. } => {
                 telemetry::count("afs.callback_cache.miss", 1);
-                cache_tag = telemetry::CacheTag::Miss;
+                out.cache = telemetry::CacheTag::Miss;
             }
             _ => {}
         }
@@ -296,59 +296,42 @@ impl DistFs for AfsFs {
         let link = self.config.link.with_jitter(self.config.jitter);
         let profile = RpcProfile::metadata();
         let sem = self.cache_mgr_sem(client.node);
+        out.stages.push(Stage::AcquireSem { sem });
+        out.stages.push(Stage::ClientCpu {
+            demand: self.config.client_cpu,
+        });
         // A crashed file server: the cache manager times out and retries
         // with backoff while holding its slot (the whole node stalls).
-        let mut fstats = FaultStats::default();
-        let mut retry_stages = Vec::new();
         if let Some(faults) = self.faults.as_mut() {
-            let (stages, stats) = retry_backoff(faults, Some(server.0), now, self.config.retry);
-            retry_stages = stages;
-            fstats = stats;
-            if faults.degradation(now + fstats.stall).is_some() {
-                fstats.injected += 1;
+            out.faults = retry_backoff(
+                faults,
+                Some(server.0),
+                now,
+                self.config.retry,
+                &mut out.stages,
+            );
+            if faults.degradation(now + out.faults.stall).is_some() {
+                out.faults.injected += 1;
             }
         }
-        let send_at = now + fstats.stall;
+        let send_at = now + out.faults.stall;
         let faults = self.faults.as_ref();
-        let mut stages = vec![
-            Stage::AcquireSem { sem },
-            Stage::ClientCpu {
-                demand: self.config.client_cpu,
-            },
-        ];
-        stages.extend(retry_stages);
         // first touch of a volume from this node: VLDB round trip
         let vol_key = format!("vldb:{volume}");
         if !self.vldb_caches[client.node].lookup(&vol_key, now) {
             telemetry::count("afs.vldb_lookup", 1);
-            stages.push(Stage::NetDelay {
-                delay: link.one_way_at(profile.request_bytes, send_at, faults, rng),
-            });
-            stages.push(Stage::Server {
-                server: AFS_VLDB,
-                demand: self.config.vldb_demand,
-            });
-            stages.push(Stage::NetDelay {
-                delay: link.one_way_at(profile.response_bytes, send_at, faults, rng),
-            });
+            let req = link.one_way_at(profile.request_bytes, send_at, faults, rng);
+            let resp = link.one_way_at(profile.response_bytes, send_at, faults, rng);
+            out.push_rpc(AFS_VLDB, self.config.vldb_demand, req, resp);
             self.vldb_caches[client.node].fill(&vol_key, now);
         }
-        stages.push(Stage::NetDelay {
-            delay: link.one_way_at(profile.request_bytes, send_at, faults, rng),
-        });
+        let req = link.one_way_at(profile.request_bytes, send_at, faults, rng);
+        let resp = link.one_way_at(profile.response_bytes, send_at, faults, rng);
+        out.push_rpc(server, demand, req, resp);
         telemetry::count("afs.rpc", 1);
-        stages.push(Stage::Server { server, demand });
-        stages.push(Stage::NetDelay {
-            delay: link.one_way_at(profile.response_bytes, send_at, faults, rng),
-        });
-        stages.push(Stage::ReleaseSem { sem });
+        out.stages.push(Stage::ReleaseSem { sem });
         self.callback_caches[client.node].fill(op.primary_path());
-        Ok(OpPlan {
-            stages,
-            faults: fstats,
-            cache: cache_tag,
-            ..Default::default()
-        })
+        Ok(())
     }
 
     fn drop_caches(&mut self, node: usize) {

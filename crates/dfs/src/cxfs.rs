@@ -125,26 +125,26 @@ impl DistFs for CxfsFs {
         self.token_caches = (0..nodes).map(|_| CallbackCache::new()).collect();
     }
 
-    fn plan(
+    fn plan_into(
         &mut self,
         client: ClientCtx,
         op: &MetaOp,
         _now: SimTime,
         rng: &mut DetRng,
-    ) -> FsResult<OpPlan> {
-        let mut cache_tag = telemetry::CacheTag::Untagged;
+        out: &mut OpPlan,
+    ) -> FsResult<()> {
+        out.reset();
         match op {
             MetaOp::Stat { path } | MetaOp::OpenClose { path }
                 if self.token_caches[client.node].lookup(path) =>
             {
                 telemetry::count("cxfs.token_cache.hit", 1);
-                return Ok(
-                    OpPlan::local(self.config.cached_stat_cpu).with_cache(telemetry::CacheTag::Hit)
-                );
+                out.push_cache_hit(self.config.cached_stat_cpu);
+                return Ok(());
             }
             MetaOp::Stat { .. } | MetaOp::OpenClose { .. } => {
                 telemetry::count("cxfs.token_cache.miss", 1);
-                cache_tag = telemetry::CacheTag::Miss;
+                out.cache = telemetry::CacheTag::Miss;
             }
             _ => {}
         }
@@ -156,29 +156,16 @@ impl DistFs for CxfsFs {
         // manager — reads included. This is the distinguishing difference
         // from NFS on large SMPs (§4.5.3).
         let sem = self.token_sem(client.node);
-        let stages = vec![
-            Stage::AcquireSem { sem },
-            Stage::ClientCpu {
-                demand: self.config.client_cpu,
-            },
-            Stage::NetDelay {
-                delay: link.one_way(profile.request_bytes, rng),
-            },
-            Stage::Server {
-                server: CXFS_MDS,
-                demand,
-            },
-            Stage::NetDelay {
-                delay: link.one_way(profile.response_bytes, rng),
-            },
-            Stage::ReleaseSem { sem },
-        ];
+        out.stages.push(Stage::AcquireSem { sem });
+        out.stages.push(Stage::ClientCpu {
+            demand: self.config.client_cpu,
+        });
+        let req = link.one_way(profile.request_bytes, rng);
+        let resp = link.one_way(profile.response_bytes, rng);
+        out.push_rpc(CXFS_MDS, demand, req, resp);
+        out.stages.push(Stage::ReleaseSem { sem });
         self.token_caches[client.node].fill(op.primary_path());
-        Ok(OpPlan {
-            stages,
-            cache: cache_tag,
-            ..Default::default()
-        })
+        Ok(())
     }
 
     fn drop_caches(&mut self, node: usize) {

@@ -76,18 +76,6 @@ impl DistFs for LocalFs {
 
     fn register_clients(&mut self, _nodes: usize) {}
 
-    fn plan(
-        &mut self,
-        client: ClientCtx,
-        op: &MetaOp,
-        now: SimTime,
-        rng: &mut DetRng,
-    ) -> FsResult<OpPlan> {
-        let mut out = OpPlan::default();
-        self.plan_into(client, op, now, rng, &mut out)?;
-        Ok(out)
-    }
-
     fn plan_into(
         &mut self,
         _client: ClientCtx,

@@ -227,18 +227,6 @@ impl DistFs for LustreFs {
         self.lock_caches = (0..nodes).map(|_| CallbackCache::new()).collect();
     }
 
-    fn plan(
-        &mut self,
-        client: ClientCtx,
-        op: &MetaOp,
-        now: SimTime,
-        rng: &mut DetRng,
-    ) -> FsResult<OpPlan> {
-        let mut out = OpPlan::default();
-        self.plan_into(client, op, now, rng, &mut out)?;
-        Ok(out)
-    }
-
     fn plan_into(
         &mut self,
         client: ClientCtx,
@@ -249,21 +237,17 @@ impl DistFs for LustreFs {
     ) -> FsResult<()> {
         out.reset();
         // lock-cached reads are local
-        let mut cache_tag = telemetry::CacheTag::Untagged;
         match op {
             MetaOp::Stat { path } | MetaOp::OpenClose { path }
                 if self.lock_caches[client.node].lookup(path) =>
             {
                 telemetry::count("lustre.lock_cache.hit", 1);
-                out.stages.push(Stage::ClientCpu {
-                    demand: self.config.cached_stat_cpu,
-                });
-                out.cache = telemetry::CacheTag::Hit;
+                out.push_cache_hit(self.config.cached_stat_cpu);
                 return Ok(());
             }
             MetaOp::Stat { .. } | MetaOp::OpenClose { .. } => {
                 telemetry::count("lustre.lock_cache.miss", 1);
-                cache_tag = telemetry::CacheTag::Miss;
+                out.cache = telemetry::CacheTag::Miss;
             }
             _ => {}
         }
@@ -341,25 +325,16 @@ impl DistFs for LustreFs {
                 delay: link.one_way_at(64, send_at, faults, rng),
             });
         }
-        out.stages.push(Stage::NetDelay {
-            delay: link.one_way_at(profile.request_bytes, send_at, faults, rng),
-        });
+        let req = link.one_way_at(profile.request_bytes, send_at, faults, rng);
+        let resp = link.one_way_at(profile.response_bytes, send_at, faults, rng);
+        out.push_rpc(LUSTRE_MDS, demand, req, resp);
         telemetry::count("lustre.rpc", 1);
-        out.stages.push(Stage::Server {
-            server: LUSTRE_MDS,
-            demand,
-        });
-        out.stages.push(Stage::NetDelay {
-            delay: link.one_way_at(profile.response_bytes, send_at, faults, rng),
-        });
         if op.is_mutation() {
             out.stages.push(Stage::ReleaseSem {
                 sem: self.modify_sem(client.node),
             });
-            self.lock_caches[client.node].fill(op.primary_path());
-        } else {
-            self.lock_caches[client.node].fill(op.primary_path());
         }
+        self.lock_caches[client.node].fill(op.primary_path());
         if matches!(op, MetaOp::Create { .. }) {
             self.creates_seen += 1;
             if self
@@ -377,7 +352,6 @@ impl DistFs for LustreFs {
             }
         }
         out.faults = fstats;
-        out.cache = cache_tag;
         Ok(())
     }
 

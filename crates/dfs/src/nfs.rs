@@ -19,7 +19,7 @@ use crate::cache::AttrCache;
 use crate::costmodel::{apply_meta_op, ServiceCostModel};
 use crate::op::MetaOp;
 use crate::plan::{
-    ClientCtx, DistFs, FaultStats, FsResources, OpPlan, ServerId, ServerSpec, Stage, TimerAction,
+    ClientCtx, DistFs, FsResources, OpPlan, ServerId, ServerSpec, Stage, TimerAction,
 };
 use crate::recovery::{retry_backoff, RetryPolicy};
 use memfs::{FsResult, MemFs, MemFsConfig};
@@ -163,34 +163,6 @@ impl NfsFs {
         let mib = self.dirty_bytes as f64 / (1024.0 * 1024.0);
         self.config.cp_min_pause + self.config.cp_pause_per_mib.mul_f64(mib)
     }
-
-    /// Append the synchronous RPC round trip (client CPU, request, service,
-    /// response) to a caller-provided stage buffer. RNG draw order (request
-    /// delay, then response delay) is part of the determinism contract.
-    fn push_rpc_stages(
-        &self,
-        stages: &mut Vec<Stage>,
-        demand: SimDuration,
-        profile: RpcProfile,
-        send_at: SimTime,
-        rng: &mut DetRng,
-    ) {
-        let link = self.config.link.with_jitter(self.config.jitter);
-        let faults = self.faults.as_ref();
-        stages.push(Stage::ClientCpu {
-            demand: self.config.client_cpu,
-        });
-        stages.push(Stage::NetDelay {
-            delay: link.one_way_at(profile.request_bytes, send_at, faults, rng),
-        });
-        stages.push(Stage::Server {
-            server: NFS_SERVER,
-            demand,
-        });
-        stages.push(Stage::NetDelay {
-            delay: link.one_way_at(profile.response_bytes, send_at, faults, rng),
-        });
-    }
 }
 
 impl DistFs for NfsFs {
@@ -213,18 +185,6 @@ impl DistFs for NfsFs {
             .collect();
     }
 
-    fn plan(
-        &mut self,
-        client: ClientCtx,
-        op: &MetaOp,
-        now: SimTime,
-        rng: &mut DetRng,
-    ) -> FsResult<OpPlan> {
-        let mut out = OpPlan::default();
-        self.plan_into(client, op, now, rng, &mut out)?;
-        Ok(out)
-    }
-
     fn plan_into(
         &mut self,
         client: ClientCtx,
@@ -236,19 +196,15 @@ impl DistFs for NfsFs {
         out.reset();
         let cache = &mut self.attr_caches[client.node];
         // Reads that the client may answer locally (close-to-open + TTL).
-        let mut cache_tag = telemetry::CacheTag::Untagged;
         match op {
             MetaOp::Stat { path } | MetaOp::OpenClose { path } if cache.lookup(path, now) => {
                 telemetry::count("nfs.attr_cache.hit", 1);
-                out.stages.push(Stage::ClientCpu {
-                    demand: self.config.cached_stat_cpu,
-                });
-                out.cache = telemetry::CacheTag::Hit;
+                out.push_cache_hit(self.config.cached_stat_cpu);
                 return Ok(());
             }
             MetaOp::Stat { .. } | MetaOp::OpenClose { .. } => {
                 telemetry::count("nfs.attr_cache.miss", 1);
-                cache_tag = telemetry::CacheTag::Miss;
+                out.cache = telemetry::CacheTag::Miss;
             }
             _ => {}
         }
@@ -261,20 +217,28 @@ impl DistFs for NfsFs {
         };
         // Faults: time out + retransmit with backoff until an attempt gets
         // through (or the soft mount gives up and sends anyway). The retry
-        // stages precede the RPC round trip; this path only allocates when a
-        // fault plan is active.
-        let mut fstats = FaultStats::default();
+        // stages precede the RPC round trip.
         if let Some(faults) = self.faults.as_mut() {
-            let (stages, stats) = retry_backoff(faults, Some(NFS_SERVER.0), now, self.config.retry);
-            out.stages.extend(stages);
-            fstats = stats;
-            if faults.degradation(now + fstats.stall).is_some() {
-                fstats.injected += 1;
+            out.faults = retry_backoff(
+                faults,
+                Some(NFS_SERVER.0),
+                now,
+                self.config.retry,
+                &mut out.stages,
+            );
+            if faults.degradation(now + out.faults.stall).is_some() {
+                out.faults.injected += 1;
             }
         }
-        let send_at = now + fstats.stall;
-        self.push_rpc_stages(&mut out.stages, demand, profile, send_at, rng);
-        out.faults = fstats;
+        let send_at = now + out.faults.stall;
+        let link = self.config.link.with_jitter(self.config.jitter);
+        let faults = self.faults.as_ref();
+        out.stages.push(Stage::ClientCpu {
+            demand: self.config.client_cpu,
+        });
+        let req = link.one_way_at(profile.request_bytes, send_at, faults, rng);
+        let resp = link.one_way_at(profile.response_bytes, send_at, faults, rng);
+        out.push_rpc(NFS_SERVER, demand, req, resp);
         telemetry::count("nfs.rpc", 1);
         if op.is_mutation() {
             let data = if let MetaOp::Create { data_bytes, .. } = op {
@@ -290,12 +254,9 @@ impl DistFs for NfsFs {
                 self.consistency_points += 1;
                 telemetry::count("nfs.consistency_point", 1);
             }
-            // The reply carries fresh attributes (post-op attr in NFSv3).
-            self.attr_caches[client.node].fill(op.primary_path(), now);
-        } else {
-            self.attr_caches[client.node].fill(op.primary_path(), now);
         }
-        out.cache = cache_tag;
+        // The reply carries fresh attributes (post-op attr in NFSv3).
+        self.attr_caches[client.node].fill(op.primary_path(), now);
         Ok(())
     }
 
@@ -345,6 +306,7 @@ impl DistFs for NfsFs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::FaultStats;
 
     fn ctx(node: usize) -> ClientCtx {
         ClientCtx { node, proc: 0 }

@@ -218,26 +218,26 @@ impl DistFs for OntapGxFs {
         self.mounts = (0..nodes).map(|n| n % self.config.filers).collect();
     }
 
-    fn plan(
+    fn plan_into(
         &mut self,
         client: ClientCtx,
         op: &MetaOp,
         now: SimTime,
         rng: &mut DetRng,
-    ) -> FsResult<OpPlan> {
-        let mut cache_tag = telemetry::CacheTag::Untagged;
+        out: &mut OpPlan,
+    ) -> FsResult<()> {
+        out.reset();
         match op {
             MetaOp::Stat { path } | MetaOp::OpenClose { path }
                 if self.attr_caches[client.node].lookup(path, now) =>
             {
                 telemetry::count("ontapgx.attr_cache.hit", 1);
-                return Ok(
-                    OpPlan::local(self.config.cached_stat_cpu).with_cache(telemetry::CacheTag::Hit)
-                );
+                out.push_cache_hit(self.config.cached_stat_cpu);
+                return Ok(());
             }
             MetaOp::Stat { .. } | MetaOp::OpenClose { .. } => {
                 telemetry::count("ontapgx.attr_cache.miss", 1);
-                cache_tag = telemetry::CacheTag::Miss;
+                out.cache = telemetry::CacheTag::Miss;
             }
             _ => {}
         }
@@ -262,55 +262,42 @@ impl DistFs for OntapGxFs {
         let profile = RpcProfile::metadata();
         let mutation = op.is_mutation();
         let vol_sem = crate::plan::SemId(volume);
-        let mut stages = Vec::new();
         if mutation {
-            stages.push(Stage::AcquireSem { sem: vol_sem });
+            out.stages.push(Stage::AcquireSem { sem: vol_sem });
         }
-        stages.push(Stage::ClientCpu {
+        out.stages.push(Stage::ClientCpu {
             demand: self.config.client_cpu,
         });
-        stages.push(Stage::NetDelay {
-            delay: link.one_way(profile.request_bytes, rng),
-        });
+        let req = link.one_way(profile.request_bytes, rng);
         if nblade == dblade {
             self.local_hits += 1;
             telemetry::count("ontapgx.local", 1);
-            stages.push(Stage::Server {
-                server: dblade,
-                demand,
-            });
+            let resp = link.one_way(profile.response_bytes, rng);
+            out.push_rpc(dblade, demand, req, resp);
         } else {
             // N-blade translates to the internal SpinNP protocol and
             // forwards; the owning D-blade does the real work (Fig. 4.3).
+            // The client's request and response messages bracket the whole
+            // forwarded exchange, so the N-blade hop is no plain RPC leg.
             self.forwarded += 1;
             telemetry::count("ontapgx.forwarded", 1);
-            stages.push(Stage::Server {
+            out.stages.push(Stage::NetDelay { delay: req });
+            out.stages.push(Stage::Server {
                 server: nblade,
                 demand: self.config.nblade_overhead,
             });
-            stages.push(Stage::NetDelay {
-                delay: cluster.one_way(profile.request_bytes, rng),
-            });
-            stages.push(Stage::Server {
-                server: dblade,
-                demand,
-            });
-            stages.push(Stage::NetDelay {
-                delay: cluster.one_way(profile.response_bytes, rng),
+            let cluster_req = cluster.one_way(profile.request_bytes, rng);
+            let cluster_resp = cluster.one_way(profile.response_bytes, rng);
+            out.push_rpc(dblade, demand, cluster_req, cluster_resp);
+            out.stages.push(Stage::NetDelay {
+                delay: link.one_way(profile.response_bytes, rng),
             });
         }
-        stages.push(Stage::NetDelay {
-            delay: link.one_way(profile.response_bytes, rng),
-        });
         if mutation {
-            stages.push(Stage::ReleaseSem { sem: vol_sem });
+            out.stages.push(Stage::ReleaseSem { sem: vol_sem });
         }
         self.attr_caches[client.node].fill(op.primary_path(), now);
-        Ok(OpPlan {
-            stages,
-            cache: cache_tag,
-            ..Default::default()
-        })
+        Ok(())
     }
 
     fn drop_caches(&mut self, node: usize) {

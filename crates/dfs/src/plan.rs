@@ -102,7 +102,7 @@ pub struct FaultStats {
 }
 
 /// A compiled operation.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct OpPlan {
     /// Ordered foreground stages.
     pub stages: Vec<Stage>,
@@ -121,19 +121,35 @@ pub struct OpPlan {
 }
 
 impl OpPlan {
-    /// A plan consisting only of client CPU work (a cache hit).
-    pub fn local(demand: SimDuration) -> Self {
-        OpPlan {
-            stages: vec![Stage::ClientCpu { demand }],
-            ..Default::default()
-        }
+    /// Append one synchronous RPC leg: the request message, service at
+    /// `server`, and the response message. This `NetDelay → Server →
+    /// NetDelay` triple is the shape the windowed engine intercepts to carry
+    /// a call to a server in another domain as one mailbox exchange
+    /// (`cluster::parsim`), so every model builds its remote calls here.
+    /// Callers draw `req` before `resp`; that RNG order is part of the
+    /// determinism contract.
+    #[inline]
+    pub fn push_rpc(
+        &mut self,
+        server: ServerId,
+        demand: SimDuration,
+        req: SimDuration,
+        resp: SimDuration,
+    ) {
+        self.stages.extend([
+            Stage::NetDelay { delay: req },
+            Stage::Server { server, demand },
+            Stage::NetDelay { delay: resp },
+        ]);
     }
 
-    /// Tag the plan with a cache outcome (builder style).
-    #[must_use]
-    pub fn with_cache(mut self, tag: CacheTag) -> Self {
-        self.cache = tag;
-        self
+    /// Answer the operation from a client cache: one `ClientCpu` stage of
+    /// `demand`, tagged [`CacheTag::Hit`]. Call on a freshly
+    /// [`reset`](OpPlan::reset) plan.
+    #[inline]
+    pub fn push_cache_hit(&mut self, demand: SimDuration) {
+        self.stages.push(Stage::ClientCpu { demand });
+        self.cache = CacheTag::Hit;
     }
 
     /// Clear the plan for reuse, retaining the stage/background/pause
@@ -226,7 +242,7 @@ pub struct PartitionPlan {
     /// node count of the run.
     pub node_domain: Vec<usize>,
     /// One independent model replica per domain. Replica `d` answers
-    /// [`DistFs::plan`] for clients in domain `d` only; correctness
+    /// [`DistFs::plan_into`] for clients in domain `d` only; correctness
     /// requires that its answers for those clients match what the unsplit
     /// model would have produced (i.e. client-visible model state must
     /// already be per-node/per-server along the domain boundaries).
@@ -260,33 +276,19 @@ pub trait DistFs: Send {
     /// per-node cache state. Called once before the run.
     fn register_clients(&mut self, nodes: usize);
 
-    /// Compile (and semantically apply) one operation.
+    /// Compile (and semantically apply) one operation into a
+    /// caller-provided plan buffer — the one method a model implements.
     ///
-    /// # Errors
-    ///
-    /// Any [`memfs::FsError`] from the semantic application — e.g. creating
-    /// a file that already exists.
-    fn plan(
-        &mut self,
-        client: ClientCtx,
-        op: &MetaOp,
-        now: SimTime,
-        rng: &mut DetRng,
-    ) -> FsResult<OpPlan>;
-
-    /// Compile one operation into a caller-provided plan buffer.
-    ///
-    /// The engine's hot path: `out` is a per-worker buffer that the model
-    /// [`reset`](OpPlan::reset)s and refills, so models that override this
-    /// compile operations with zero steady-state allocations. The default
-    /// falls back to [`plan`](DistFs::plan) and moves the result into `out`,
-    /// which keeps third-party models correct (if allocating).
+    /// `out` is a per-worker buffer the engine reuses for every op: the
+    /// model [`reset`](OpPlan::reset)s it first and refills it in place, so
+    /// planning makes no buffer allocations in steady state.
     ///
     /// On `Err`, `out` is left in an unspecified (but reusable) state.
     ///
     /// # Errors
     ///
-    /// Same contract as [`plan`](DistFs::plan).
+    /// Any [`memfs::FsError`] from the semantic application — e.g. creating
+    /// a file that already exists.
     fn plan_into(
         &mut self,
         client: ClientCtx,
@@ -294,9 +296,24 @@ pub trait DistFs: Send {
         now: SimTime,
         rng: &mut DetRng,
         out: &mut OpPlan,
-    ) -> FsResult<()> {
-        *out = self.plan(client, op, now, rng)?;
-        Ok(())
+    ) -> FsResult<()>;
+
+    /// Convenience over [`plan_into`](DistFs::plan_into) that returns a
+    /// fresh plan (tests and one-off callers).
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`plan_into`](DistFs::plan_into).
+    fn plan(
+        &mut self,
+        client: ClientCtx,
+        op: &MetaOp,
+        now: SimTime,
+        rng: &mut DetRng,
+    ) -> FsResult<OpPlan> {
+        let mut out = OpPlan::default();
+        self.plan_into(client, op, now, rng, &mut out)?;
+        Ok(out)
     }
 
     /// First timer request (`None` = the model needs no timers).
@@ -346,13 +363,6 @@ pub trait DistFs: Send {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn local_plan_is_client_only() {
-        let p = OpPlan::local(SimDuration::from_micros(3));
-        assert!(p.is_client_only());
-        assert_eq!(p.foreground_demand(), SimDuration::from_micros(3));
-    }
 
     #[test]
     fn foreground_demand_sums_stages() {

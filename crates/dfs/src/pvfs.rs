@@ -112,13 +112,15 @@ impl DistFs for PvfsFs {
         // stateless clients: nothing to allocate
     }
 
-    fn plan(
+    fn plan_into(
         &mut self,
         _client: ClientCtx,
         op: &MetaOp,
         _now: SimTime,
         rng: &mut DetRng,
-    ) -> FsResult<OpPlan> {
+        out: &mut OpPlan,
+    ) -> FsResult<()> {
+        out.reset();
         // NO cache check: every operation is a synchronous round trip.
         let cost = apply_meta_op(&mut self.mds_fs, op)?;
         let demand = self.config.cost.demand(cost);
@@ -127,24 +129,13 @@ impl DistFs for PvfsFs {
             MetaOp::Readdir { .. } => RpcProfile::readdir(cost.dir_probes),
             _ => RpcProfile::metadata(),
         };
-        Ok(OpPlan {
-            stages: vec![
-                Stage::ClientCpu {
-                    demand: self.config.client_cpu,
-                },
-                Stage::NetDelay {
-                    delay: link.one_way(profile.request_bytes, rng),
-                },
-                Stage::Server {
-                    server: PVFS_MDS,
-                    demand,
-                },
-                Stage::NetDelay {
-                    delay: link.one_way(profile.response_bytes, rng),
-                },
-            ],
-            ..Default::default()
-        })
+        out.stages.push(Stage::ClientCpu {
+            demand: self.config.client_cpu,
+        });
+        let req = link.one_way(profile.request_bytes, rng);
+        let resp = link.one_way(profile.response_bytes, rng);
+        out.push_rpc(PVFS_MDS, demand, req, resp);
+        Ok(())
     }
 
     fn drop_caches(&mut self, _node: usize) {

@@ -47,7 +47,7 @@ impl Default for RetryPolicy {
 /// Walk the fault plan forward from `now`: while the RPC attempt would be
 /// lost (link down, `server` crashed, or a loss-window draw), charge one
 /// timeout as a `NetDelay` stall and retry with exponential backoff.
-/// Returns the stall stages to prepend plus the accounting.
+/// Appends the stall stages to `stages` and returns the accounting.
 ///
 /// Makes **zero** RNG draws when no loss window covers an attempt, so an
 /// inert plan cannot perturb the simulation.
@@ -56,9 +56,9 @@ pub fn retry_backoff(
     server: Option<usize>,
     now: SimTime,
     policy: RetryPolicy,
-) -> (Vec<Stage>, FaultStats) {
+    stages: &mut Vec<Stage>,
+) -> FaultStats {
     let mut stats = FaultStats::default();
-    let mut stages = Vec::new();
     let mut attempt_at = now;
     let mut timeout = policy.timeout;
     loop {
@@ -75,7 +75,7 @@ pub fn retry_backoff(
         timeout = timeout.mul_f64(policy.backoff).min(policy.max_timeout);
     }
     stats.stall = attempt_at.since(now);
-    (stages, stats)
+    stats
 }
 
 #[cfg(test)]
@@ -87,10 +87,22 @@ mod tests {
         SimTime::from_secs(secs)
     }
 
+    /// `retry_backoff` into a fresh stage buffer.
+    fn retry(
+        plan: &mut FaultPlan,
+        server: Option<usize>,
+        now: SimTime,
+        policy: RetryPolicy,
+    ) -> (Vec<Stage>, FaultStats) {
+        let mut stages = Vec::new();
+        let stats = retry_backoff(plan, server, now, policy, &mut stages);
+        (stages, stats)
+    }
+
     #[test]
     fn healthy_path_is_free() {
         let mut plan = FaultSpec::parse("down@100s..110s").unwrap().build();
-        let (stages, stats) = retry_backoff(&mut plan, Some(0), t(1), RetryPolicy::nfs_soft());
+        let (stages, stats) = retry(&mut plan, Some(0), t(1), RetryPolicy::nfs_soft());
         assert!(stages.is_empty());
         assert_eq!(stats, FaultStats::default());
     }
@@ -98,7 +110,7 @@ mod tests {
     #[test]
     fn link_down_retries_until_window_passes() {
         let mut plan = FaultSpec::parse("down@10s..11s").unwrap().build();
-        let (stages, stats) = retry_backoff(&mut plan, None, t(10), RetryPolicy::nfs_soft());
+        let (stages, stats) = retry(&mut plan, None, t(10), RetryPolicy::nfs_soft());
         // 0.7 s timeout, then 1.4 s: second attempt at 2.1 s > 1 s outage
         assert_eq!(stages.len(), 2);
         assert_eq!(stats.retries, 2);
@@ -108,9 +120,9 @@ mod tests {
     #[test]
     fn server_crash_stalls_until_restart() {
         let mut plan = FaultSpec::parse("crash:3@10s+2s").unwrap().build();
-        let (_, other) = retry_backoff(&mut plan, Some(1), t(10), RetryPolicy::nfs_soft());
+        let (_, other) = retry(&mut plan, Some(1), t(10), RetryPolicy::nfs_soft());
         assert_eq!(other.retries, 0, "other servers are unaffected");
-        let (stages, stats) = retry_backoff(&mut plan, Some(3), t(10), RetryPolicy::nfs_soft());
+        let (stages, stats) = retry(&mut plan, Some(3), t(10), RetryPolicy::nfs_soft());
         assert!(!stages.is_empty());
         assert!(stats.stall >= SimDuration::from_secs(2));
     }
@@ -122,7 +134,7 @@ mod tests {
             max_retries: 3,
             ..RetryPolicy::nfs_soft()
         };
-        let (stages, stats) = retry_backoff(&mut plan, None, t(0), policy);
+        let (stages, stats) = retry(&mut plan, None, t(0), policy);
         assert_eq!(stages.len(), 3);
         assert_eq!(stats.retries, 3);
         // 0.7 + 1.4 + 2.8 s of backoff, then the soft mount sends anyway
@@ -138,7 +150,7 @@ mod tests {
             max_retries: 12,
             ..RetryPolicy::nfs_soft()
         };
-        let (stages, stats) = retry_backoff(&mut plan, None, t(0), policy);
+        let (stages, stats) = retry(&mut plan, None, t(0), policy);
         assert_eq!(stages.len(), 12);
         let delays: Vec<SimDuration> = stages
             .iter()
@@ -160,7 +172,7 @@ mod tests {
     #[test]
     fn default_policy_exhausts_at_ten_retries() {
         let mut plan = FaultSpec::parse("down@0s..100000s").unwrap().build();
-        let (stages, stats) = retry_backoff(&mut plan, Some(0), t(0), RetryPolicy::default());
+        let (stages, stats) = retry(&mut plan, Some(0), t(0), RetryPolicy::default());
         assert_eq!(stages.len(), 10, "nfs_soft gives up after 10 retransmits");
         assert_eq!(stats.retries, 10);
         assert_eq!(stats.injected, 10);
@@ -183,7 +195,7 @@ mod tests {
             max_retries: 0,
             ..RetryPolicy::nfs_soft()
         };
-        let (stages, stats) = retry_backoff(&mut plan, Some(0), t(5), policy);
+        let (stages, stats) = retry(&mut plan, Some(0), t(5), policy);
         assert!(stages.is_empty());
         assert_eq!(stats.retries, 0);
         assert_eq!(stats.stall, SimDuration::ZERO);

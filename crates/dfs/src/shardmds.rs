@@ -523,21 +523,24 @@ impl DistFs for ShardMds {
         })
     }
 
-    fn plan(
+    fn plan_into(
         &mut self,
         client: ClientCtx,
         op: &MetaOp,
         now: SimTime,
         rng: &mut DetRng,
-    ) -> FsResult<OpPlan> {
+        out: &mut OpPlan,
+    ) -> FsResult<()> {
+        out.reset();
         self.apply_resharding(now);
         let (key, home, entry_generation) = self.resolve(op.primary_path());
         self.lookups += 1;
         telemetry::count("shardmds.lookups", 1);
 
-        let mut stages = vec![Stage::ClientCpu {
+        out.stages.push(Stage::ClientCpu {
             demand: self.config.client_cpu,
-        }];
+        });
+        // two delays drawn per op and reused on every hop below
         let link = self.config.link;
         let profile = RpcProfile::metadata();
         let req = link.one_way(profile.request_bytes, rng);
@@ -565,12 +568,7 @@ impl DistFs for ShardMds {
             None => {
                 self.placement_rpcs += 1;
                 telemetry::count("shardmds.placement_rpcs", 1);
-                stages.push(Stage::NetDelay { delay: req });
-                stages.push(Stage::Server {
-                    server: SHARD_LOCSVC,
-                    demand: self.config.locsvc_demand,
-                });
-                stages.push(Stage::NetDelay { delay: rsp });
+                out.push_rpc(SHARD_LOCSVC, self.config.locsvc_demand, req, rsp);
             }
             Some(loc) if loc.generation < entry_generation && loc.shard != home => {
                 // lazy migration: first touch after the move still goes to
@@ -581,12 +579,12 @@ impl DistFs for ShardMds {
                 // conservative engine can treat it as one remote exchange.
                 self.migrations += 1;
                 telemetry::count("shardmds.migrations", 1);
-                stages.push(Stage::NetDelay { delay: req });
-                stages.push(Stage::Server {
-                    server: self.shard_server(loc.shard),
-                    demand: self.config.forward_demand,
-                });
-                stages.push(Stage::NetDelay { delay: rsp });
+                out.push_rpc(
+                    self.shard_server(loc.shard),
+                    self.config.forward_demand,
+                    req,
+                    rsp,
+                );
                 pull = self.config.migration_pull;
             }
             Some(_) => {}
@@ -601,32 +599,24 @@ impl DistFs for ShardMds {
 
         // failover: a crashed home shard costs one detection timeout, then
         // the ring successor serves (and keeps serving until the restart)
-        let mut fstats = FaultStats::default();
         let (serving, failed_over) = self.alive_shard(home, now);
         if failed_over {
             self.failovers += 1;
-            fstats.failovers = 1;
-            fstats.retries = 1;
-            fstats.injected = 1;
-            fstats.stall = self.config.failover_detect;
+            out.faults = FaultStats {
+                injected: 1,
+                retries: 1,
+                failovers: 1,
+                stall: self.config.failover_detect,
+            };
             telemetry::count("shardmds.failovers", 1);
-            stages.push(Stage::NetDelay {
+            out.stages.push(Stage::NetDelay {
                 delay: self.config.failover_detect,
             });
         }
 
         let demand = self.config.cost.demand(Self::synthetic_cost(op)) + pull;
-        stages.push(Stage::NetDelay { delay: req });
-        stages.push(Stage::Server {
-            server: self.shard_server(serving),
-            demand,
-        });
-        stages.push(Stage::NetDelay { delay: rsp });
-        Ok(OpPlan {
-            stages,
-            faults: fstats,
-            ..Default::default()
-        })
+        out.push_rpc(self.shard_server(serving), demand, req, rsp);
+        Ok(())
     }
 
     fn drop_caches(&mut self, node: usize) {

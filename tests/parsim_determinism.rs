@@ -71,13 +71,15 @@ impl DistFs for RoundRobinFs {
         })
     }
 
-    fn plan(
+    fn plan_into(
         &mut self,
         client: ClientCtx,
         op: &MetaOp,
         _now: SimTime,
         _rng: &mut DetRng,
-    ) -> FsResult<OpPlan> {
+        out: &mut OpPlan,
+    ) -> FsResult<()> {
+        out.reset();
         let calls = self.calls.entry((client.node, client.proc)).or_insert(0);
         let server = ServerId((client.node + client.proc + *calls as usize) % SERVERS);
         *calls += 1;
@@ -85,21 +87,12 @@ impl DistFs for RoundRobinFs {
             MetaOp::Create { .. } => SimDuration::from_micros(25),
             _ => SimDuration::from_micros(8),
         };
-        Ok(OpPlan {
-            stages: vec![
-                Stage::ClientCpu {
-                    demand: SimDuration::from_micros(3),
-                },
-                Stage::NetDelay {
-                    delay: SimDuration::from_micros(40),
-                },
-                Stage::Server { server, demand },
-                Stage::NetDelay {
-                    delay: SimDuration::from_micros(40),
-                },
-            ],
-            ..Default::default()
-        })
+        out.stages.push(Stage::ClientCpu {
+            demand: SimDuration::from_micros(3),
+        });
+        let delay = SimDuration::from_micros(40);
+        out.push_rpc(server, demand, delay, delay);
+        Ok(())
     }
 
     fn drop_caches(&mut self, _node: usize) {}

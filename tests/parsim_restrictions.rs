@@ -94,37 +94,31 @@ impl DistFs for Misbehaving {
         })
     }
 
-    fn plan(
+    fn plan_into(
         &mut self,
         client: ClientCtx,
         _op: &MetaOp,
         _now: SimTime,
         _rng: &mut DetRng,
-    ) -> FsResult<OpPlan> {
+        out: &mut OpPlan,
+    ) -> FsResult<()> {
+        out.reset();
         let server = ServerId(client.node % SERVERS);
-        let mut stages = vec![
-            Stage::NetDelay {
-                delay: SimDuration::from_micros(40),
-            },
-            Stage::Server {
-                server,
-                demand: SimDuration::from_micros(10),
-            },
-            Stage::NetDelay {
-                delay: SimDuration::from_micros(40),
-            },
-        ];
-        let mut plan = OpPlan::default();
+        let sem_stages = self.misfeature == Misfeature::SemStages;
+        if sem_stages {
+            out.stages.push(Stage::AcquireSem { sem: SemId(0) });
+        }
+        let delay = SimDuration::from_micros(40);
+        out.push_rpc(server, SimDuration::from_micros(10), delay, delay);
+        if sem_stages {
+            out.stages.push(Stage::ReleaseSem { sem: SemId(0) });
+        }
         match self.misfeature {
-            Misfeature::SemStages => {
-                stages.insert(0, Stage::AcquireSem { sem: SemId(0) });
-                stages.push(Stage::ReleaseSem { sem: SemId(0) });
-            }
             Misfeature::Pauses => {
-                plan.pauses.push((server, SimDuration::from_micros(5)));
+                out.pauses.push((server, SimDuration::from_micros(5)));
             }
             Misfeature::Background => {
-                plan.background.push(BackgroundJob {
+                out.background.push(BackgroundJob {
                     server,
                     demand: SimDuration::from_micros(5),
                     release_sem: None,
@@ -133,8 +127,7 @@ impl DistFs for Misbehaving {
             }
             _ => {}
         }
-        plan.stages = stages;
-        Ok(plan)
+        Ok(())
     }
 
     fn drop_caches(&mut self, _node: usize) {}

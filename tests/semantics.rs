@@ -3,9 +3,14 @@
 //! at the `DistFs` plan level, where "client-local" vs "must contact the
 //! server" is observable.
 
-use dfs::{AfsFs, ClientCtx, CxfsFs, DistFs, LustreFs, MetaOp, NfsFs, OntapGxFs, PvfsFs};
+use dfs::{
+    AfsFs, BackgroundJob, ClientCtx, CxfsFs, DistFs, FaultStats, LocalFs, LustreFs, MetaOp, NfsFs,
+    OntapGxFs, OpPlan, PvfsFs, SemId, ServerId, ShardMds, Stage,
+};
 use memfs::FsError;
-use simcore::{DetRng, SimTime};
+use netsim::fault::{FaultPlan, FaultSpec};
+use simcore::telemetry::CacheTag;
+use simcore::{DetRng, SimDuration, SimTime};
 
 fn ctx(node: usize) -> ClientCtx {
     ClientCtx { node, proc: 0 }
@@ -244,5 +249,142 @@ fn pvfs_has_no_client_state() {
             .expect("stat");
         assert!(!plan.is_client_only(), "every PVFS stat is a round trip");
         m.drop_caches(0); // must be a harmless no-op
+    }
+}
+
+/// The pooled planning path is stateless with respect to its buffer: a
+/// model planning into one reused buffer that starts dirty (junk stages, a
+/// pause, a background job, fault accounting, a cache tag) produces exactly
+/// the plans a twin instance returns from `plan`, for every model — with
+/// and without fault plans, so the retry stages go through the appender.
+#[test]
+fn reused_dirty_plan_buffer_matches_fresh_plans() {
+    type Factory = Box<dyn Fn() -> Box<dyn DistFs>>;
+    fn plain<M: DistFs + 'static>(make: fn() -> M) -> Factory {
+        Box::new(move || Box::new(make()))
+    }
+    fn faulted<M: DistFs + 'static>(
+        make: fn() -> M,
+        attach: fn(&mut M, FaultPlan),
+        spec: &'static str,
+    ) -> Factory {
+        Box::new(move || {
+            let mut m = make();
+            attach(&mut m, FaultSpec::parse(spec).expect("valid spec").build());
+            Box::new(m)
+        })
+    }
+    let nfs_faults = "down@0s..1s,loss@0s..4s:0.5,seed=3";
+    let afs_faults = "crash:1@0s+1s,loss@0s..4s:0.5,seed=5";
+    // (model, directory, whether its fault plan must shape some plan)
+    let models: Vec<(Factory, &str, bool)> = vec![
+        (plain(LocalFs::with_defaults), "/bench", false),
+        (plain(NfsFs::with_defaults), "/bench", false),
+        (
+            faulted(NfsFs::with_defaults, NfsFs::set_faults, nfs_faults),
+            "/bench",
+            true,
+        ),
+        (plain(LustreFs::with_defaults), "/bench", false),
+        (
+            faulted(
+                LustreFs::with_defaults,
+                LustreFs::set_faults,
+                "crash:0@0s+1s",
+            ),
+            "/bench",
+            true,
+        ),
+        (plain(CxfsFs::with_defaults), "/bench", false),
+        (plain(PvfsFs::with_defaults), "/bench", false),
+        (plain(OntapGxFs::with_defaults), "/vol1/bench", false),
+        (plain(AfsFs::with_defaults), "/vol0/bench", false),
+        (
+            faulted(AfsFs::with_defaults, AfsFs::set_faults, afs_faults),
+            "/vol0/bench",
+            true,
+        ),
+        (plain(ShardMds::with_defaults), "/bench", false),
+        (
+            faulted(
+                ShardMds::with_defaults,
+                ShardMds::set_faults,
+                "crash:1@0s+2s",
+            ),
+            "/bench",
+            true,
+        ),
+    ];
+    let mut buf = OpPlan {
+        stages: vec![
+            Stage::ClientCpu {
+                demand: SimDuration::from_micros(7),
+            },
+            Stage::AcquireSem { sem: SemId(3) },
+            Stage::NetDelay {
+                delay: SimDuration::from_millis(9),
+            },
+        ],
+        background: vec![BackgroundJob {
+            server: ServerId(5),
+            demand: SimDuration::from_micros(11),
+            release_sem: Some(SemId(1)),
+            label: Some("junk"),
+        }],
+        pauses: vec![(ServerId(2), SimDuration::from_millis(13))],
+        faults: FaultStats {
+            injected: 4,
+            retries: 3,
+            failovers: 2,
+            stall: SimDuration::from_secs(1),
+        },
+        cache: CacheTag::Miss,
+    };
+    let dirty = buf.clone();
+    for (factory, dir, faulted) in models {
+        let (mut fresh, mut pooled) = (factory(), factory());
+        fresh.register_clients(2);
+        pooled.register_clients(2);
+        let (mut rng_fresh, mut rng_pooled) = (DetRng::new(17), DetRng::new(17));
+        buf.clone_from(&dirty);
+        let f = format!("{dir}/f");
+        let g = format!("{dir}/g");
+        let ops = [
+            create(&f),
+            stat(&f),
+            stat(&f),
+            MetaOp::Mkdir {
+                path: format!("{dir}/sub"),
+            },
+            MetaOp::Readdir { path: dir.into() },
+            MetaOp::Rename {
+                from: f.clone(),
+                to: g.clone(),
+            },
+            MetaOp::Unlink { path: g },
+        ];
+        let name = fresh.name().to_owned();
+        let mut fault_shaped = false;
+        for (i, op) in ops.iter().enumerate() {
+            let now = SimTime::from_millis(250 * i as u64);
+            let client = ctx(i % 2);
+            let want = fresh
+                .plan(client, op, now, &mut rng_fresh)
+                .unwrap_or_else(|e| panic!("{name}: op {i} ({op:?}) failed: {e}"));
+            pooled
+                .plan_into(client, op, now, &mut rng_pooled, &mut buf)
+                .unwrap_or_else(|e| panic!("{name}: pooled op {i} ({op:?}) failed: {e}"));
+            assert_eq!(buf, want, "{name}: op {i} ({op:?}) planned differently");
+            fault_shaped |= want.faults != FaultStats::default();
+        }
+        assert_eq!(
+            rng_fresh.uniform_u64(0, u64::MAX),
+            rng_pooled.uniform_u64(0, u64::MAX),
+            "{name}: RNG streams diverged"
+        );
+        assert_eq!(
+            fault_shaped, faulted,
+            "{name}: fault plan fired as intended"
+        );
     }
 }
