@@ -160,6 +160,10 @@ const BG_BASE: u64 = 1 << 40;
 const HOG_BASE: u64 = 1 << 41;
 const REMOTE_BASE: u64 = 1 << 42;
 
+/// Most samples a worker's log is pre-sized for: 409.6 s at the default
+/// 100 ms cadence. No registered scenario pre-sizes more than 602.
+const SAMPLE_PRESIZE_CAP: u64 = 4096;
+
 /// Jobs in flight, slab-allocated: a job's id is its range base plus its
 /// slot, and slots are recycled as soon as the job's (exactly-once)
 /// completion takes it, so steady-state churn neither hashes nor allocates.
@@ -467,82 +471,82 @@ impl Domain<'_> {
     /// Returns whether the worker obtained a plan and should advance.
     fn start_op(&mut self, w: usize) -> bool {
         let now = self.sched.now();
-        loop {
-            if self.deadline.is_some_and(|d| now >= d) {
-                self.finish_worker(w, now);
-                return false;
-            }
-            let st = &mut self.states[w];
-            let Some(op) = self.streams[w].next_op(st.ops_done) else {
-                self.finish_worker(w, now);
-                return false;
-            };
-            let client = ClientCtx {
-                node: st.spec.node,
-                proc: st.spec.proc,
-            };
-            if self
-                .model
-                .plan_into(client, &op, now, &mut self.rng, &mut st.plan)
-                .is_err()
-            {
-                // skip to the next operation; charge nothing
-                st.errors += 1;
-                continue;
-            }
-            st.op_started = now;
-            st.op_name = op_label(&op);
-            st.op_id = telemetry::fresh_id();
-            st.stage_entered = now;
-            st.seg = SegAcc::default();
-            st.cache = st.plan.cache;
-            st.rpc_flow = None;
-            st.remote = None;
-            let f = st.plan.faults;
-            if f.injected > 0 || f.retries > 0 || f.failovers > 0 {
-                st.retries += u64::from(f.retries);
-                st.failovers += u64::from(f.failovers);
-                if telemetry::enabled() {
-                    let tid = telemetry::worker_tid(st.global);
-                    if f.injected > 0 {
-                        telemetry::count("fault.injected", u64::from(f.injected));
-                    }
-                    if f.retries > 0 {
-                        telemetry::count("rpc.retry", u64::from(f.retries));
-                    }
-                    if f.failovers > 0 {
-                        telemetry::count("failover", u64::from(f.failovers));
-                    }
-                    if !f.stall.is_zero() {
-                        let name = if f.failovers > 0 {
-                            "failover"
-                        } else {
-                            "rpc.retry"
-                        };
-                        telemetry::span(self.pid, tid, name, "fault", now, now + f.stall);
+        if self.deadline.is_some_and(|d| now >= d) {
+            self.finish_worker(w, now);
+            return false;
+        }
+        let st = &mut self.states[w];
+        let Some(op) = self.streams[w].next_op(st.ops_done) else {
+            self.finish_worker(w, now);
+            return false;
+        };
+        let client = ClientCtx {
+            node: st.spec.node,
+            proc: st.spec.proc,
+        };
+        if self
+            .model
+            .plan_into(client, &op, now, &mut self.rng, &mut st.plan)
+            .is_err()
+        {
+            // A failed plan charges no virtual time, so re-issuing would
+            // spin at this instant forever: the failure ends the worker.
+            st.errors += 1;
+            self.finish_worker(w, now);
+            return false;
+        }
+        st.op_started = now;
+        st.op_name = op_label(&op);
+        st.op_id = telemetry::fresh_id();
+        st.stage_entered = now;
+        st.seg = SegAcc::default();
+        st.cache = st.plan.cache;
+        st.rpc_flow = None;
+        st.remote = None;
+        let f = st.plan.faults;
+        if f.injected > 0 || f.retries > 0 || f.failovers > 0 {
+            st.retries += u64::from(f.retries);
+            st.failovers += u64::from(f.failovers);
+            if telemetry::enabled() {
+                let tid = telemetry::worker_tid(st.global);
+                if f.injected > 0 {
+                    telemetry::count("fault.injected", u64::from(f.injected));
+                }
+                if f.retries > 0 {
+                    telemetry::count("rpc.retry", u64::from(f.retries));
+                }
+                if f.failovers > 0 {
+                    telemetry::count("failover", u64::from(f.failovers));
+                }
+                if !f.stall.is_zero() {
+                    let name = if f.failovers > 0 {
+                        "failover"
                     } else {
-                        telemetry::instant(self.pid, tid, "fault.injected", "fault", now);
-                    }
+                        "rpc.retry"
+                    };
+                    telemetry::span(self.pid, tid, name, "fault", now, now + f.stall);
+                } else {
+                    telemetry::instant(self.pid, tid, "fault.injected", "fault", now);
                 }
             }
-            let (pauses, background) = (st.plan.pauses.len(), st.plan.background.len());
-            if self.partitioned && pauses + background > 0 {
-                self.refuse(PartitionedFeature::PausesOrBackground);
-            }
-            for i in 0..pauses {
-                let (server, dur) = self.states[w].plan.pauses[i];
-                self.apply_pause(server.0, dur, now, "consistency-point");
-            }
-            for i in 0..background {
-                let job = self.states[w].plan.background[i];
-                let parent = self.states[w].op_id;
-                self.background_arrive(job, now, parent);
-            }
-            let st = &mut self.states[w];
-            st.active = true;
-            st.stage = 0;
-            return true;
         }
+        let (pauses, background) = (st.plan.pauses.len(), st.plan.background.len());
+        if self.partitioned && pauses + background > 0 {
+            self.refuse(PartitionedFeature::PausesOrBackground);
+        }
+        for i in 0..pauses {
+            let (server, dur) = self.states[w].plan.pauses[i];
+            self.apply_pause(server.0, dur, now, "consistency-point");
+        }
+        for i in 0..background {
+            let job = self.states[w].plan.background[i];
+            let parent = self.states[w].op_id;
+            self.background_arrive(job, now, parent);
+        }
+        let st = &mut self.states[w];
+        st.active = true;
+        st.stage = 0;
+        true
     }
 
     /// Attribute the blocking stage local worker `w` just completed to one
@@ -1200,8 +1204,11 @@ pub(crate) fn run(
     let deadline = config.duration.map(|d| SimTime::ZERO + d);
     // Pre-size each worker's sample log: for duration-bounded runs the
     // sample count is known exactly; otherwise start with a page's worth.
+    // The cap only bounds the up-front allocation of absurdly long runs,
+    // which end early when their streams do; the log grows past it.
     let sample_cap = config.duration.map_or(64, |d| {
-        (d.as_nanos() / config.sample_interval.as_nanos().max(1) + 2) as usize
+        (d.as_nanos() / config.sample_interval.as_nanos().max(1) + 2).min(SAMPLE_PRESIZE_CAP)
+            as usize
     });
 
     // distribute workers and streams to their domains in global order

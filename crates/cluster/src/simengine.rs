@@ -520,22 +520,34 @@ mod tests {
     }
 
     #[test]
-    fn errors_counted_not_fatal() {
+    fn plan_error_ends_the_worker() {
         let mut fs = LocalFs::with_defaults();
         let ws = workers(1, 1);
-        // every op creates the same path → all but the first error out
+        // two creates of one path: the second fails, and re-issuing it
+        // (the stream is indexed by completed ops) would spin forever
         let st: Vec<Box<dyn OpStream>> = vec![Box::new(|i: u64| {
-            if i < 1 {
-                Some(MetaOp::Create {
-                    path: "/w/same".into(),
-                    data_bytes: 0,
-                })
-            } else {
-                None
-            }
+            (i < 2).then(|| MetaOp::Create {
+                path: "/w/same".into(),
+                data_bytes: 0,
+            })
         })];
         let res = run_sim(&mut fs, &names(1), ws, st, &SimConfig::default());
         assert_eq!(res.total_ops(), 1);
-        assert_eq!(res.workers[0].errors, 0);
+        assert_eq!(res.workers[0].errors, 1);
+        assert!(res.workers[0].finished_at.is_some());
+    }
+
+    #[test]
+    fn huge_duration_short_stream_finishes() {
+        // the sample log is pre-sized from the duration; 1e9 s at the
+        // 100 ms cadence would ask for 1e10 samples per worker
+        let mut fs = LocalFs::with_defaults();
+        let ws = workers(1, 1);
+        let st = vec![create_stream("/w/p0".into(), 10)];
+        let mut cfg = SimConfig::default();
+        cfg.duration = Some(SimDuration::from_secs(1_000_000_000));
+        let res = run_sim(&mut fs, &names(1), ws, st, &cfg);
+        assert_eq!(res.total_ops(), 10);
+        assert!(res.workers[0].finished_at.is_some());
     }
 }

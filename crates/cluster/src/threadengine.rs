@@ -155,7 +155,10 @@ pub fn run_threads(
                             counter.store(done, Ordering::Relaxed);
                         }
                         Err(_) => {
+                            // the stream would re-issue the same op; like
+                            // the simulated engine, a failure ends the worker
                             errs.fetch_add(1, Ordering::Relaxed);
+                            break;
                         }
                     }
                 }

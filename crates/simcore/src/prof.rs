@@ -14,12 +14,15 @@
 //! # Threads
 //!
 //! Scopes accumulate into a **thread-local** table (no lock on the hot
-//! path) which is folded into the global registry when the thread exits —
-//! both the parallel suite runner and the partitioned simulation engine run
-//! their workers on scoped threads, so their samples are all merged by the
-//! time the main thread reads [`snapshot`]. A thread that wants its numbers
-//! visible earlier (or that never exits, like the main thread) calls
-//! [`flush`]; [`snapshot`]/[`report`] flush the calling thread themselves.
+//! path) which is folded into the global registry when the thread exits.
+//! A thread has exited once it is joined through its handle, as the
+//! partitioned simulation engine joins its workers; the implicit join at
+//! the end of `std::thread::scope` (the suite runner, `run_independent`)
+//! can return before the thread-local destructors have run, so their last
+//! samples may land after the main thread reads [`snapshot`]. A thread
+//! that wants its numbers visible earlier (or that never exits, like the
+//! main thread) calls [`flush`]; [`snapshot`]/[`report`] flush the calling
+//! thread themselves.
 //!
 //! # Example
 //!
@@ -208,8 +211,18 @@ pub fn report() -> String {
 mod tests {
     use super::*;
 
+    /// The tests share the one global `set_enabled` flag; each holds this
+    /// lock so another cannot switch profiling off while it records.
+    static FLAG: Mutex<()> = Mutex::new(());
+
+    fn exclusive() -> std::sync::MutexGuard<'static, ()> {
+        FLAG.lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     #[test]
     fn disabled_scope_is_none_and_records_nothing() {
+        let _flag = exclusive();
         // default state: off (other tests may toggle; don't assert global)
         set_enabled(false);
         assert!(scope("prof.test.disabled").is_none());
@@ -220,6 +233,7 @@ mod tests {
 
     #[test]
     fn enabled_scope_accumulates_calls_and_time() {
+        let _flag = exclusive();
         set_enabled(true);
         for _ in 0..3 {
             let _t = scope("prof.test.enabled");
@@ -238,16 +252,25 @@ mod tests {
 
     #[test]
     fn worker_thread_scopes_fold_into_global_registry() {
+        let _flag = exclusive();
         set_enabled(true);
         std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| {
-                    for _ in 0..5 {
-                        let _t = scope("prof.test.worker");
-                        std::hint::black_box(());
-                    }
-                    // no explicit flush: the thread-local destructor flushes
-                });
+            let workers: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        for _ in 0..5 {
+                            let _t = scope("prof.test.worker");
+                            std::hint::black_box(());
+                        }
+                        // no explicit flush: the thread-local destructor flushes
+                    })
+                })
+                .collect();
+            // Join each thread: the scope's implicit join returns once the
+            // closures finish, which can be before their thread-local
+            // destructors have run.
+            for w in workers {
+                w.join().expect("worker thread");
             }
         });
         set_enabled(false);
