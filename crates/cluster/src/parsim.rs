@@ -31,7 +31,9 @@
 //! * mailbox drains are canonically ordered by `simcore::par`;
 //! * telemetry is recorded into per-domain [`telemetry::ThreadCapture`]s
 //!   (installed around every window by whichever thread executes it) and
-//!   absorbed into the caller's capture in ascending domain order.
+//!   absorbed into the caller's capture in ascending domain order, followed
+//!   by the run's [`par::WindowStats`] as the counters `par.windows` and
+//!   `par.messages`.
 //!
 //! `--sim-threads 1` therefore runs the *same* windowed algorithm — just on
 //! one thread — and produces byte-identical results, traces, metrics and
@@ -1332,14 +1334,15 @@ pub(crate) fn run(
             // structured error here so callers see a Result, not a panic.
             // Anything else (model bugs, lookahead violations) keeps
             // unwinding.
-            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| {
-                par::run_conservative(&mut doms, lookahead, threads);
+            let stats = match catch_unwind(AssertUnwindSafe(|| {
+                par::run_conservative(&mut doms, lookahead, threads)
             })) {
-                match payload.downcast::<PartitionUnsupported>() {
+                Ok(stats) => stats,
+                Err(payload) => match payload.downcast::<PartitionUnsupported>() {
                     Ok(err) => return Err(*err),
                     Err(payload) => resume_unwind(payload),
-                }
-            }
+                },
+            };
             // fold per-domain telemetry back into the caller's capture, in
             // canonical domain order
             for dom in &mut doms {
@@ -1347,6 +1350,8 @@ pub(crate) fn run(
                     telemetry::absorb(&cap.into_report());
                 }
             }
+            telemetry::count("par.windows", stats.windows);
+            telemetry::count("par.messages", stats.messages);
         }
     }
 

@@ -39,8 +39,6 @@ ANALYZE OPTIONS:
                              and <id>.report.md into DIR (created if missing)
   --md                       print the full Markdown report to stdout
   --top <N>                  keep the N slowest chains        [default: 10]
-  (set DMETABENCH_PROF=1 to also print a wall-clock profile of the
-  scheduler/event hot path — diagnostic only, never affects traces)
 
 BENCH OPTIONS:
   --scenarios <A,B,...>      micro workloads (snapshot_churn, create_churn,
@@ -119,6 +117,10 @@ OPTIONS:
   --metrics                  print the run's metrics summary JSON
   --list-operations          print available plugins and exit
   --help                     print this help
+
+  Set DMETABENCH_PROF=1 to print a wall-clock profile of the simulator's
+  host-side layers to stderr after any command (diagnostic only, never
+  affects results or traces).
 
 EXAMPLES:
   dmetabench --fs lustre --nodes 8 --operations MakeFiles,StatFiles
@@ -725,16 +727,12 @@ fn parse_analyze(args: &[String]) -> Result<AnalyzeCli, String> {
 }
 
 fn analyze_cmd(cli: AnalyzeCli) -> Result<ExitCode, String> {
-    let prof_on = simcore::prof::init_from_env();
     cli.out.as_deref().map_or(Ok(()), create_dir)?;
     let errors: Vec<String> = cli
         .ids
         .iter()
         .filter_map(|id| analyze_one(id, &cli).err())
         .collect();
-    if prof_on {
-        eprint!("{}", simcore::prof::report());
-    }
     all_ok(errors)
 }
 
@@ -954,12 +952,17 @@ fn run(argv: &[String]) -> Result<ExitCode, String> {
     if let Some(n) = common.sim_threads {
         cluster::set_sim_threads(Some(n));
     }
-    match cmd {
+    let prof_on = simcore::prof::init_from_env();
+    let status = match cmd {
         Command::Main(cli) => main_cmd(*cli),
         Command::Suite(cli) => suite_cmd(cli),
         Command::Bench(cli) => bench_cmd(cli),
         Command::Analyze(cli) => analyze_cmd(cli),
+    };
+    if prof_on {
+        eprint!("{}", simcore::prof::report());
     }
+    status
 }
 
 fn main() -> ExitCode {

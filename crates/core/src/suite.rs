@@ -478,14 +478,19 @@ fn run_suite_inner(
         scenarios.iter().map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
         for _ in 0..jobs.clamp(1, scenarios.len().max(1)) {
-            scope.spawn(|| loop {
-                let k = next.fetch_add(1, Ordering::SeqCst);
-                if k >= order.len() {
-                    break;
+            scope.spawn(|| {
+                loop {
+                    let k = next.fetch_add(1, Ordering::SeqCst);
+                    if k >= order.len() {
+                        break;
+                    }
+                    let idx = order[k];
+                    let result = run_scenario_inner(scenarios[idx], traced);
+                    *slots[idx].lock().expect("slot lock") = Some(result);
                 }
-                let idx = order[k];
-                let result = run_scenario_inner(scenarios[idx], traced);
-                *slots[idx].lock().expect("slot lock") = Some(result);
+                // the scope's implicit join can return before this thread's
+                // profile buffer folds in on exit
+                simcore::prof::flush();
             });
         }
     });

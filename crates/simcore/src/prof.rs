@@ -8,21 +8,21 @@
 //!
 //! Unlike [`telemetry`](crate::telemetry), nothing here is deterministic —
 //! readings are wall-clock and vary run to run — so profiling data never
-//! feeds baselines or traces; it is printed on demand (`dmetabench analyze`
-//! with `DMETABENCH_PROF=1`) and thrown away.
+//! feeds baselines or traces; it is printed on demand (any `dmetabench`
+//! command with `DMETABENCH_PROF=1`) and thrown away.
 //!
 //! # Threads
 //!
 //! Scopes accumulate into a **thread-local** table (no lock on the hot
 //! path) which is folded into the global registry when the thread exits.
 //! A thread has exited once it is joined through its handle, as the
-//! partitioned simulation engine joins its workers; the implicit join at
-//! the end of `std::thread::scope` (the suite runner, `run_independent`)
-//! can return before the thread-local destructors have run, so their last
-//! samples may land after the main thread reads [`snapshot`]. A thread
-//! that wants its numbers visible earlier (or that never exits, like the
-//! main thread) calls [`flush`]; [`snapshot`]/[`report`] flush the calling
-//! thread themselves.
+//! partitioned simulation engine joins its window threads. The implicit
+//! join at the end of `std::thread::scope` can return before the
+//! thread-local destructors have run, so a scoped worker calls [`flush`]
+//! as its last step — the suite runner's and `run_independent`'s workers
+//! do — or its last samples may land after the main thread reads
+//! [`snapshot`]. The main thread never exits; [`snapshot`]/[`report`]
+//! flush the calling thread themselves.
 //!
 //! # Example
 //!

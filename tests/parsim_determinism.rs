@@ -208,8 +208,9 @@ fn pin_windowed_engine_matches_sim_threads_1() {
 /// The sharded MDS service under a live migration schedule, run through the
 /// public `run_sim` entry: `None` = unpartitioned, as one domain,
 /// `Some(t)` = one domain per shard group on the windowed engine with `t`
-/// threads.
-fn run_shardmds(threads: Option<usize>) -> (String, String, u64) {
+/// threads. Returns the result, the Chrome trace, the migration count and
+/// the metrics summary.
+fn run_shardmds(threads: Option<usize>) -> (String, String, u64, String) {
     set_sim_threads(threads);
     let (result, report) = telemetry::capture(|| {
         let mut model = ShardMds::new(ShardMdsConfig {
@@ -281,12 +282,14 @@ fn run_shardmds(threads: Option<usize>) -> (String, String, u64) {
         format!("{result:?}"),
         report.to_chrome_trace_json(),
         migrations,
+        report.to_metrics_json(),
     )
 }
 
 /// The sharded model's determinism matrix: the unpartitioned run and the
 /// partitioned run at every thread count agree on the run result, and the
-/// partitioned run's telemetry is byte-identical at every thread count.
+/// partitioned run's telemetry is byte-identical at every thread count —
+/// its metrics summary included, which carries the window statistics.
 #[test]
 fn shardmds_bit_identical_across_engines_and_thread_counts() {
     let _serial = KNOB.lock().unwrap_or_else(|e| e.into_inner());
@@ -305,6 +308,10 @@ fn shardmds_bit_identical_across_engines_and_thread_counts() {
         "no lazy migrations fired — schedule too late?"
     );
     assert_eq!(unpartitioned.2, windowed.2);
+    assert!(
+        windowed.3.contains("\"par.windows\"") && windowed.3.contains("\"par.messages\""),
+        "the windowed run records its window statistics"
+    );
     for threads in [2, 4, 8] {
         let run = run_shardmds(Some(threads));
         assert_eq!(
@@ -314,6 +321,10 @@ fn shardmds_bit_identical_across_engines_and_thread_counts() {
         assert_eq!(
             windowed.1, run.1,
             "shardmds trace differs between --sim-threads 1 and {threads}"
+        );
+        assert_eq!(
+            windowed.3, run.3,
+            "shardmds metrics differ between --sim-threads 1 and {threads}"
         );
     }
 }
