@@ -197,17 +197,6 @@ impl SimRunResult {
         h
     }
 
-    /// Wall-clock average throughput in operations/second (§3.2.5 "global
-    /// throughput approach").
-    pub fn wallclock_ops_per_sec(&self) -> f64 {
-        let t = self.wall_time.as_secs_f64();
-        if t <= 0.0 {
-            0.0
-        } else {
-            self.total_ops() as f64 / t
-        }
-    }
-
     /// Stonewall average: total ops completed up to the moment the *first*
     /// worker finished, divided by that time (§3.2.5, IOzone's approach).
     pub fn stonewall_ops_per_sec(&self) -> f64 {
@@ -361,7 +350,6 @@ mod tests {
         let res = run_sim(&mut fs, &names(1), ws, st, &SimConfig::default());
         assert_eq!(res.total_ops(), 500);
         assert!(res.workers[0].finished_at.is_some());
-        assert!(res.wallclock_ops_per_sec() > 0.0);
         // samples monotonically non-decreasing
         let s = &res.workers[0].samples;
         assert!(s.windows(2).all(|w| w[0].1 <= w[1].1 && w[0].0 <= w[1].0));

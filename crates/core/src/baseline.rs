@@ -1,7 +1,7 @@
 //! Checked-in JSON baselines for the shape-regression suite.
 //!
-//! Every scenario's [`ShapeReport`](crate::suite::ShapeReport) is stored
-//! under `baselines/<id>.json` (blessed via `dmetabench suite --bless`).
+//! Every scenario's [`ShapeReport`] is stored under `baselines/<id>.json`
+//! (blessed via `dmetabench suite --bless`).
 //! Comparison semantics:
 //!
 //! * metrics with `tolerance: None` are informational (wall-clock numbers)
@@ -40,11 +40,14 @@ pub fn load(id: &str) -> Result<Option<ShapeReport>, String> {
     if !path.exists() {
         return Ok(None);
     }
-    let text = std::fs::read_to_string(&path)
+    load_from(&path).map(Some)
+}
+
+/// Load a baseline from an explicit path. Every failure names the file.
+pub fn load_from(path: &Path) -> Result<ShapeReport, String> {
+    let text = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    serde_json::from_str(&text)
-        .map(Some)
-        .map_err(|e| format!("cannot parse {}: {e:?}", path.display()))
+    serde_json::from_str(&text).map_err(|e| format!("cannot parse {}: {e}", path.display()))
 }
 
 /// Write (bless) a scenario's report as the new baseline.
@@ -85,13 +88,6 @@ pub enum BaselineStatus {
     Missing,
     /// Report deviates; each string describes one mismatch.
     Mismatch(Vec<String>),
-}
-
-impl BaselineStatus {
-    /// Whether this status should fail the suite.
-    pub fn is_failure(&self) -> bool {
-        !matches!(self, BaselineStatus::Match)
-    }
 }
 
 /// Compare an actual report against its blessed baseline.
@@ -306,14 +302,14 @@ mod tests {
         let ok = report(vec![metric("rate", 1040.0, Some(0.05))]);
         assert_eq!(compare(&expected, &ok), BaselineStatus::Match);
         let bad = report(vec![metric("rate", 1100.0, Some(0.05))]);
-        assert!(compare(&expected, &bad).is_failure());
+        assert_ne!(compare(&expected, &bad), BaselineStatus::Match);
     }
 
     #[test]
     fn tolerance_redefinition_is_a_mismatch() {
         let expected = report(vec![metric("rate", 1000.0, Some(0.0))]);
         let actual = report(vec![metric("rate", 1000.0, Some(0.5))]);
-        assert!(compare(&expected, &actual).is_failure());
+        assert_ne!(compare(&expected, &actual), BaselineStatus::Match);
     }
 
     #[test]
@@ -339,7 +335,7 @@ mod tests {
         let mut actual = expected.clone();
         assert_eq!(compare(&expected, &actual), BaselineStatus::Match);
         actual.tables[0].rows[0][0] = "2".into();
-        assert!(compare(&expected, &actual).is_failure());
+        assert_ne!(compare(&expected, &actual), BaselineStatus::Match);
 
         // …but not for wall-clock scenarios
         expected.deterministic = false;

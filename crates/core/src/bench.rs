@@ -31,7 +31,7 @@
 //! * any registered **suite** scenario by id (`exp_4_8_writeback`, …),
 //!   timed end to end.
 //!
-//! [`compare`] diffs two emitted `BENCH_*.json` files (median deltas with a
+//! [`compare_files`] diffs two emitted `BENCH_*.json` files (median deltas with a
 //! regression threshold) — the repo's committed BENCH files are the
 //! reference side.
 

@@ -77,5 +77,5 @@ pub use plugin::{
 pub use preprocess::{align_to_grid, preprocess, IntervalRow, Preprocessed};
 pub use profile::EnvironmentProfile;
 pub use result::{ProcessTrace, ResultSet};
-pub use runner::{apply_ops_to_model, run_single, BenchResult, Campaign, Runner};
+pub use runner::{run_single, BenchResult, Campaign, Runner};
 pub use trace::{parse_trace, write_trace, TraceReplay};

@@ -15,7 +15,7 @@ use cluster::{
     execution_plan, run_sim, run_threads, Placement, RealOpStream, RunSpec, SimConfig,
     SimRunResult, ThreadRunConfig, WorkerSpec,
 };
-use dfs::{ClientCtx, DistFs, MetaOp, OpPlan};
+use dfs::{ClientCtx, DistFs, OpPlan};
 use memfs::Vfs;
 use simcore::{telemetry, DetRng, SimTime};
 
@@ -106,13 +106,6 @@ impl Runner {
     pub fn new(params: BenchParams) -> Self {
         let fixed_ns = vec![params.problem_size, params.problem_size * 5];
         Runner { params, fixed_ns }
-    }
-
-    /// Override the fixed-operation-count averages computed per result
-    /// (the "strong scaling" averages of §3.3.9).
-    pub fn with_fixed_ns(mut self, ns: Vec<u64>) -> Self {
-        self.fixed_ns = ns;
-        self
     }
 
     /// The parameters.
@@ -416,17 +409,6 @@ pub fn run_single(
     let rs = ResultSet::from_run(operation, nodes, ppn, &run);
     let pre = preprocess(&rs, &runner.fixed_ns);
     (rs, pre)
-}
-
-/// Execute a list of operations directly against a model (used by
-/// experiment binaries for ad-hoc preparation).
-pub fn apply_ops_to_model(model: &mut dyn DistFs, node: usize, ops: &[MetaOp], seed: u64) {
-    let mut rng = DetRng::new(seed);
-    let mut plan = OpPlan::default();
-    for op in ops {
-        let client = ClientCtx { node, proc: 0 };
-        let _ = model.plan_into(client, op, SimTime::ZERO, &mut rng, &mut plan);
-    }
 }
 
 #[cfg(test)]

@@ -195,7 +195,6 @@ fn substitute_op(op: &MetaOp, workdir: &str) -> MetaOp {
 #[derive(Debug, Clone)]
 pub struct TraceReplay {
     ops: std::sync::Arc<Vec<MetaOp>>,
-    repeat: u64,
 }
 
 impl TraceReplay {
@@ -203,25 +202,7 @@ impl TraceReplay {
     pub fn new(ops: Vec<MetaOp>) -> Self {
         TraceReplay {
             ops: std::sync::Arc::new(ops),
-            repeat: 1,
         }
-    }
-
-    /// Replay the trace `repeat` times back to back (`$W` keeps runs of the
-    /// same worker in the same directory, so repeated traces must be
-    /// idempotent or self-cleaning).
-    pub fn with_repeat(mut self, repeat: u64) -> Self {
-        self.repeat = repeat.max(1);
-        self
-    }
-
-    /// Parse a trace text and build the plugin.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`parse_trace`] errors.
-    pub fn from_text(text: &str) -> Result<Self, String> {
-        Ok(Self::new(parse_trace(text)?))
     }
 
     /// Operations in the trace.
@@ -247,14 +228,9 @@ impl BenchmarkPlugin for TraceReplay {
     fn stream(&self, ctx: &WorkerCtx) -> Box<dyn FnMut(u64) -> Option<MetaOp> + Send> {
         let ops = std::sync::Arc::clone(&self.ops);
         let workdir = ctx.workdir.clone();
-        let total = self.ops.len() as u64 * self.repeat;
         Box::new(move |i| {
-            if i < total && !ops.is_empty() {
-                let op = &ops[(i % ops.len() as u64) as usize];
-                Some(substitute_op(op, &workdir))
-            } else {
-                None
-            }
+            let op = ops.get(usize::try_from(i).ok()?)?;
+            Some(substitute_op(op, &workdir))
         })
     }
 }
@@ -341,7 +317,7 @@ mod tests {
 
     #[test]
     fn spatial_scale_up_substitutes_workdir() {
-        let trace = TraceReplay::from_text("create $W/f 0\nstat /shared/global\n").unwrap();
+        let trace = TraceReplay::new(parse_trace("create $W/f 0\nstat /shared/global\n").unwrap());
         let params = BenchParams::default();
         let ctxs = crate::params::WorkerCtx::build(&[(0, 0), (1, 0)], &params, 2);
         let mut s0 = trace.stream(&ctxs[0]);
@@ -359,21 +335,6 @@ mod tests {
         // absolute paths without $W stay shared
         assert_eq!(s0(1).unwrap().primary_path(), "/shared/global");
         assert!(s0(2).is_none(), "trace exhausted");
-    }
-
-    #[test]
-    fn repeat_replays_the_trace() {
-        let trace = TraceReplay::from_text("stat /a\nstat /b\n")
-            .unwrap()
-            .with_repeat(3);
-        let params = BenchParams::default();
-        let ctx = crate::params::WorkerCtx::build(&[(0, 0)], &params, 1).remove(0);
-        let mut s = trace.stream(&ctx);
-        let mut n = 0;
-        while s(n).is_some() {
-            n += 1;
-        }
-        assert_eq!(n, 6);
     }
 
     #[test]

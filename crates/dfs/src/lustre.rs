@@ -154,12 +154,6 @@ impl LustreFs {
         &self.mds_fs
     }
 
-    /// Mutable access to the MDS namespace — used by experiments to
-    /// pre-populate large directories without paying the RPC machinery.
-    pub fn mds_fs_mut(&mut self) -> &mut MemFs {
-        &mut self.mds_fs
-    }
-
     fn modify_sem(&self, node: usize) -> SemId {
         SemId(node)
     }

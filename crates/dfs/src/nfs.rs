@@ -92,7 +92,6 @@ pub struct NfsFs {
     attr_caches: Vec<AttrCache>,
     dirty_bytes: u64,
     consistency_points: u64,
-    snapshots_taken: u64,
     faults: Option<FaultPlan>,
 }
 
@@ -109,7 +108,6 @@ impl NfsFs {
             attr_caches: Vec::new(),
             dirty_bytes: 0,
             consistency_points: 0,
-            snapshots_taken: 0,
             faults: None,
         }
     }
@@ -141,22 +139,6 @@ impl NfsFs {
     /// Consistency points performed so far.
     pub fn consistency_points(&self) -> u64 {
         self.consistency_points
-    }
-
-    /// Trigger a filer snapshot now (disturbance of Fig. 4.5); returns the
-    /// pause the engine should apply to the server.
-    pub fn trigger_snapshot(&mut self, rng: &mut DetRng) -> (ServerId, SimDuration) {
-        telemetry::count("nfs.snapshot", 1);
-        telemetry::count("nfs.consistency_point", 1);
-        self.snapshots_taken += 1;
-        let name = format!("snap{}", self.snapshots_taken);
-        let _ = self.server_fs.snapshot_create(&name);
-        // snapshot creation forces a consistency point plus copy-on-write
-        // bookkeeping of random duration
-        let pause = self.cp_pause() + SimDuration::from_millis(rng.uniform_u64(20, 120));
-        self.dirty_bytes = 0;
-        self.consistency_points += 1;
-        (NFS_SERVER, pause)
     }
 
     fn cp_pause(&self) -> SimDuration {
@@ -474,17 +456,6 @@ mod tests {
             })
             .unwrap();
         assert!(bd > sd, "65-byte create allocates a block: {bd} > {sd}");
-    }
-
-    #[test]
-    fn snapshot_pauses_server() {
-        let mut fs = NfsFs::with_defaults();
-        fs.register_clients(1);
-        let mut rng = DetRng::new(1);
-        let (server, pause) = fs.trigger_snapshot(&mut rng);
-        assert_eq!(server, NFS_SERVER);
-        assert!(pause >= SimDuration::from_millis(40));
-        assert_eq!(fs.server_fs().snapshot_names().count(), 1);
     }
 
     #[test]

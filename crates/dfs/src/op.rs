@@ -115,24 +115,6 @@ impl MetaOp {
             MetaOp::Symlink { linkpath, .. } => linkpath,
         }
     }
-
-    /// Short operation name for logs and results.
-    pub fn kind_name(&self) -> &'static str {
-        match self {
-            MetaOp::Create { .. } => "create",
-            MetaOp::Mkdir { .. } => "mkdir",
-            MetaOp::Unlink { .. } => "unlink",
-            MetaOp::Rmdir { .. } => "rmdir",
-            MetaOp::Stat { .. } => "stat",
-            MetaOp::OpenClose { .. } => "openclose",
-            MetaOp::Readdir { .. } => "readdir",
-            MetaOp::Rename { .. } => "rename",
-            MetaOp::Link { .. } => "link",
-            MetaOp::Symlink { .. } => "symlink",
-            MetaOp::Chmod { .. } => "chmod",
-            MetaOp::Utimes { .. } => "utimes",
-        }
-    }
 }
 
 #[cfg(test)]
@@ -162,6 +144,5 @@ mod tests {
             to: "/b".into(),
         };
         assert_eq!(op.primary_path(), "/b");
-        assert_eq!(op.kind_name(), "rename");
     }
 }

@@ -249,7 +249,7 @@ pub struct PartitionPlan {
     pub models: Vec<Box<dyn DistFs>>,
     /// Conservative lookahead: a lower bound on the virtual-time distance
     /// of any cross-domain interaction (for network-shaped models, the
-    /// minimum cross-domain link latency — see `netsim::Topology::lookahead`).
+    /// minimum cross-domain link latency — see `netsim::LinkSpec::min_latency`).
     pub lookahead: SimDuration,
 }
 

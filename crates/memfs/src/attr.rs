@@ -101,11 +101,6 @@ impl FileAttr {
         self.file_type == FileType::Directory
     }
 
-    /// `true` if this is a regular file.
-    pub fn is_file(&self) -> bool {
-        self.file_type == FileType::Regular
-    }
-
     /// `true` if this is a symbolic link.
     pub fn is_symlink(&self) -> bool {
         self.file_type == FileType::Symlink
@@ -153,7 +148,7 @@ mod tests {
         assert!(a.is_dir());
         let f = FileAttr::new(Ino(2), FileType::Regular, DEFAULT_FILE_MODE, 10, 20, 99);
         assert_eq!(f.nlink, 1);
-        assert!(f.is_file());
+        assert_eq!(f.file_type, FileType::Regular);
         assert_eq!(f.size, 0);
         assert_eq!(f.atime_ns, 99);
     }

@@ -32,28 +32,10 @@ pub struct OpCost {
     pub components_resolved: u64,
 }
 
-impl OpCost {
-    /// Sum two cost records.
-    pub fn combined(self, other: OpCost) -> OpCost {
-        OpCost {
-            dir_probes: self.dir_probes + other.dir_probes,
-            alloc_scans: self.alloc_scans + other.alloc_scans,
-            blocks_allocated: self.blocks_allocated + other.blocks_allocated,
-            blocks_freed: self.blocks_freed + other.blocks_freed,
-            journal_records: self.journal_records + other.journal_records,
-            journal_commits: self.journal_commits + other.journal_commits,
-            inline_writes: self.inline_writes + other.inline_writes,
-            symlinks_followed: self.symlinks_followed + other.symlinks_followed,
-            components_resolved: self.components_resolved + other.components_resolved,
-        }
-    }
-}
-
 /// Accumulator for [`OpCost`] inside a file system.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CostMeter {
     current: OpCost,
-    lifetime: OpCost,
 }
 
 impl CostMeter {
@@ -65,65 +47,51 @@ impl CostMeter {
     /// Add directory probes.
     pub fn dir_probes(&mut self, n: u64) {
         self.current.dir_probes += n;
-        self.lifetime.dir_probes += n;
     }
 
     /// Add allocator scan steps.
     pub fn alloc_scans(&mut self, n: u64) {
         self.current.alloc_scans += n;
-        self.lifetime.alloc_scans += n;
     }
 
     /// Record allocated blocks.
     pub fn blocks_allocated(&mut self, n: u64) {
         self.current.blocks_allocated += n;
-        self.lifetime.blocks_allocated += n;
     }
 
     /// Record freed blocks.
     pub fn blocks_freed(&mut self, n: u64) {
         self.current.blocks_freed += n;
-        self.lifetime.blocks_freed += n;
     }
 
     /// Record a journal record write.
     pub fn journal_record(&mut self) {
         self.current.journal_records += 1;
-        self.lifetime.journal_records += 1;
     }
 
     /// Record a journal commit.
     pub fn journal_commit(&mut self) {
         self.current.journal_commits += 1;
-        self.lifetime.journal_commits += 1;
     }
 
     /// Record an inline (in-inode) write.
     pub fn inline_write(&mut self) {
         self.current.inline_writes += 1;
-        self.lifetime.inline_writes += 1;
     }
 
     /// Record a followed symlink.
     pub fn symlink_followed(&mut self) {
         self.current.symlinks_followed += 1;
-        self.lifetime.symlinks_followed += 1;
     }
 
     /// Record resolved path components.
     pub fn components(&mut self, n: u64) {
         self.current.components_resolved += n;
-        self.lifetime.components_resolved += n;
     }
 
     /// Drain and return the cost accumulated since the last `take`.
     pub fn take(&mut self) -> OpCost {
         std::mem::take(&mut self.current)
-    }
-
-    /// Whole-lifetime cost (never reset).
-    pub fn lifetime(&self) -> OpCost {
-        self.lifetime
     }
 }
 
@@ -162,31 +130,12 @@ pub struct OpCounters {
     pub fsyncs: u64,
 }
 
-impl OpCounters {
-    /// Total metadata operations (everything except read/write).
-    pub fn metadata_total(&self) -> u64 {
-        self.creates
-            + self.opens
-            + self.closes
-            + self.unlinks
-            + self.mkdirs
-            + self.rmdirs
-            + self.stats
-            + self.renames
-            + self.links
-            + self.symlinks
-            + self.readdirs
-            + self.setattrs
-            + self.fsyncs
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn take_resets_current_but_not_lifetime() {
+    fn take_resets_the_meter() {
         let mut m = CostMeter::new();
         m.dir_probes(5);
         m.journal_record();
@@ -195,37 +144,5 @@ mod tests {
         assert_eq!(c.journal_records, 1);
         let c2 = m.take();
         assert_eq!(c2, OpCost::default());
-        m.dir_probes(2);
-        assert_eq!(m.lifetime().dir_probes, 7);
-    }
-
-    #[test]
-    fn combined_adds_fields() {
-        let a = OpCost {
-            dir_probes: 1,
-            blocks_allocated: 2,
-            ..OpCost::default()
-        };
-        let b = OpCost {
-            dir_probes: 10,
-            journal_commits: 1,
-            ..OpCost::default()
-        };
-        let c = a.combined(b);
-        assert_eq!(c.dir_probes, 11);
-        assert_eq!(c.blocks_allocated, 2);
-        assert_eq!(c.journal_commits, 1);
-    }
-
-    #[test]
-    fn metadata_total_excludes_data_ops() {
-        let c = OpCounters {
-            creates: 3,
-            reads: 100,
-            writes: 100,
-            stats: 2,
-            ..OpCounters::default()
-        };
-        assert_eq!(c.metadata_total(), 5);
     }
 }

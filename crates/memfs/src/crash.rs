@@ -132,12 +132,6 @@ impl CrashSpec {
         self
     }
 
-    /// Builder: crash once `n` records have been logged.
-    pub fn after_records(mut self, n: u64) -> Self {
-        self.clauses.push(CrashClause::AfterRecords(n));
-        self
-    }
-
     /// Builder: tear the final in-flight record frame.
     pub fn torn_last(mut self) -> Self {
         self.clauses.push(CrashClause::TornLast);
@@ -195,16 +189,6 @@ impl CrashPlan {
     /// against it.
     pub fn crash_after(&self) -> Option<u64> {
         self.crash_after
-    }
-
-    /// Whether the plan tears the final in-flight frame.
-    pub fn tears_last(&self) -> bool {
-        self.torn_last
-    }
-
-    /// The reorder window (0 = no reordering).
-    pub fn reorder_window(&self) -> usize {
-        self.reorder
     }
 
     /// Apply the plan's damage to a materialized disk journal. Only the
@@ -517,8 +501,8 @@ mod tests {
         assert_eq!(spec.seed, Some(9));
         let plan = spec.build();
         assert_eq!(plan.crash_after(), Some(64));
-        assert!(plan.tears_last());
-        assert_eq!(plan.reorder_window(), 3);
+        assert!(plan.torn_last);
+        assert_eq!(plan.reorder, 3);
     }
 
     #[test]

@@ -109,6 +109,10 @@ impl Error for FsError {}
 impl From<std::io::Error> for FsError {
     fn from(e: std::io::Error) -> Self {
         use std::io::ErrorKind::*;
+        // std folds EPERM into `PermissionDenied` together with EACCES
+        if e.raw_os_error() == Some(1) {
+            return FsError::NotPermitted;
+        }
         match e.kind() {
             NotFound => FsError::NotFound,
             AlreadyExists => FsError::Exists,
@@ -127,7 +131,6 @@ impl From<std::io::Error> for FsError {
                     Some(31) => FsError::TooManyLinks,
                     Some(40) => FsError::SymlinkLoop,
                     Some(30) => FsError::ReadOnly,
-                    Some(1) => FsError::NotPermitted,
                     _ => FsError::Io(e.to_string()),
                 }
             }
@@ -159,6 +162,10 @@ mod tests {
         assert_eq!(e, FsError::NotEmpty);
         let e: FsError = std::io::Error::from_raw_os_error(18).into();
         assert_eq!(e, FsError::CrossDevice);
+        let e: FsError = std::io::Error::from_raw_os_error(1).into();
+        assert_eq!(e, FsError::NotPermitted, "EPERM");
+        let e: FsError = std::io::Error::from_raw_os_error(13).into();
+        assert_eq!(e, FsError::PermissionDenied, "EACCES");
     }
 
     #[test]

@@ -17,8 +17,6 @@ use crate::crash::{fnv1a, ScrubReport, Scrubber};
 use crate::dir::{new_index, DirIndex, DirIndexKind, RawEntry};
 use crate::error::{FsError, FsResult};
 use crate::journal::{Journal, JournalMode, JournalRecord};
-use crate::locks::{LockKind, LockOwner, LockRange, LockTable};
-use crate::notify::{ChangeKind, ChangeLog, WatchId};
 use crate::path::FsPath;
 use crate::vfs::{Fd, FsStats, OpenFlags, Vfs};
 
@@ -190,7 +188,7 @@ struct FsImage {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct MemFs {
     config: MemFsConfig,
     inodes: BTreeMap<u64, Inode>,
@@ -206,36 +204,11 @@ pub struct MemFs {
     counters: OpCounters,
     snapshots: BTreeMap<String, FsImage>,
     checkpoint_image: Option<FsImage>,
-    locks: std::collections::HashMap<u64, LockTable>,
-    changes: ChangeLog,
 }
 
 impl Default for MemFs {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-impl Clone for MemFs {
-    fn clone(&self) -> Self {
-        MemFs {
-            config: self.config.clone(),
-            inodes: self.inodes.clone(),
-            next_ino: self.next_ino,
-            allocator: self.allocator.clone(),
-            journal: self.journal.clone(),
-            open_files: self.open_files.clone(),
-            next_fd: self.next_fd,
-            now_ns: self.now_ns,
-            uid: self.uid,
-            gid: self.gid,
-            cost: self.cost,
-            counters: self.counters,
-            snapshots: self.snapshots.clone(),
-            checkpoint_image: self.checkpoint_image.clone(),
-            locks: self.locks.clone(),
-            changes: self.changes.clone(),
-        }
     }
 }
 
@@ -278,8 +251,6 @@ impl MemFs {
             counters: OpCounters::default(),
             snapshots: BTreeMap::new(),
             checkpoint_image: None,
-            locks: std::collections::HashMap::new(),
-            changes: ChangeLog::new(),
         }
     }
 
@@ -288,41 +259,15 @@ impl MemFs {
         &self.config
     }
 
-    /// Set the identity used for permission checks.
-    pub fn set_user(&mut self, uid: u32, gid: u32) {
-        self.uid = uid;
-        self.gid = gid;
-    }
-
-    /// Advance the logical clock used for timestamps.
-    pub fn advance_clock(&mut self, delta_ns: u64) {
-        self.now_ns += delta_ns;
-    }
-
-    /// Current logical clock.
-    pub fn clock_ns(&self) -> u64 {
-        self.now_ns
-    }
-
     /// Drain the cost accumulated since the last call (see
     /// [`CostMeter`](crate::CostMeter)).
     pub fn take_cost(&mut self) -> OpCost {
         self.cost.take()
     }
 
-    /// Whole-lifetime cost counters.
-    pub fn lifetime_cost(&self) -> OpCost {
-        self.cost.lifetime()
-    }
-
     /// Per-operation-kind counters.
     pub fn counters(&self) -> OpCounters {
         self.counters
-    }
-
-    /// Number of live inodes.
-    pub fn inode_count(&self) -> u64 {
-        self.inodes.len() as u64
     }
 
     // -- internal helpers ---------------------------------------------------
@@ -655,6 +600,8 @@ impl MemFs {
     /// Panics if the scanner admits anything other than the committed
     /// prefix (a durability bug) or if an admitted record fails to replay
     /// (a consistency bug); the crash harness asserts neither ever happens.
+    ///
+    /// [`CrashPlan`]: crate::crash::CrashPlan
     pub fn crash_with(
         &mut self,
         plan: &mut crate::crash::CrashPlan,
@@ -681,8 +628,7 @@ impl MemFs {
     }
 
     /// Restore the last checkpoint image and replay `records` onto it.
-    /// Volatile state that cannot survive a power cycle — open handles and
-    /// advisory locks (their owners are gone) — is dropped.
+    /// Open handles cannot survive a power cycle and are dropped.
     fn restore_and_replay(&mut self, records: Vec<JournalRecord>) {
         let image = self
             .checkpoint_image
@@ -692,7 +638,6 @@ impl MemFs {
         self.allocator = image.allocator;
         self.next_ino = image.next_ino;
         self.open_files.clear();
-        self.locks.clear();
         for record in records {
             self.apply_record(record)
                 .expect("committed journal record must replay cleanly");
@@ -994,8 +939,7 @@ impl MemFs {
     /// `batch` inodes from the scrubber's cursor, checksumming payloads and
     /// verifying per-inode invariants (size/extent/block agreement,
     /// directory-entry/inode agreement, parent liveness). When the cursor
-    /// wraps past the end of the inode table the sweep completes and the
-    /// advisory lock tables are verified to reference live inodes.
+    /// wraps past the end of the inode table the sweep completes.
     ///
     /// The sweep coexists with live traffic: mutations between steps are
     /// fine (deleted inodes are skipped, new ones picked up on the next
@@ -1013,14 +957,6 @@ impl MemFs {
                 report.wrapped = true;
                 scrub.cursor = 0;
                 scrub.stats.sweeps_completed += 1;
-                for lock_ino in self.locks.keys() {
-                    if !self.inodes.contains_key(lock_ino) {
-                        scrub
-                            .stats
-                            .errors
-                            .push(format!("lock table for dead ino#{lock_ino}"));
-                    }
-                }
                 break;
             };
             scrub.cursor = ino_num + 1;
@@ -1103,72 +1039,6 @@ impl MemFs {
         }
         report
     }
-
-    // -- advisory locks (paper §2.3.2) ---------------------------------------
-
-    /// Test-and-set an advisory byte-range lock on the file behind `fd`.
-    /// Returns whether the lock was granted (non-blocking, like
-    /// `fcntl(F_SETLK)`).
-    ///
-    /// # Errors
-    ///
-    /// [`FsError::BadHandle`] if `fd` is not open.
-    pub fn try_lock(
-        &mut self,
-        fd: Fd,
-        owner: LockOwner,
-        kind: LockKind,
-        range: LockRange,
-    ) -> FsResult<bool> {
-        let ino = self.open_files.get(&fd.0).ok_or(FsError::BadHandle)?.ino;
-        Ok(self
-            .locks
-            .entry(ino.0)
-            .or_default()
-            .try_lock(owner, kind, range))
-    }
-
-    /// Release `owner`'s locks overlapping `range` on the file behind `fd`.
-    ///
-    /// # Errors
-    ///
-    /// [`FsError::BadHandle`] if `fd` is not open.
-    pub fn unlock(&mut self, fd: Fd, owner: LockOwner, range: LockRange) -> FsResult<usize> {
-        let ino = self.open_files.get(&fd.0).ok_or(FsError::BadHandle)?.ino;
-        Ok(self
-            .locks
-            .get_mut(&ino.0)
-            .map(|t| t.unlock(owner, range))
-            .unwrap_or(0))
-    }
-
-    /// Release every lock `owner` holds anywhere — what POSIX does when a
-    /// process terminates (paper §2.3.2).
-    pub fn release_lock_owner(&mut self, owner: LockOwner) -> usize {
-        let mut released = 0;
-        self.locks.retain(|_, table| {
-            released += table.release_owner(owner);
-            !table.is_empty()
-        });
-        released
-    }
-
-    // -- change notifications (paper §2.8.3) ----------------------------------
-
-    /// Subscribe to change events under `prefix`.
-    pub fn watch_changes(&mut self, prefix: &str) -> WatchId {
-        self.changes.watch(prefix)
-    }
-
-    /// Remove a change subscription.
-    pub fn unwatch_changes(&mut self, id: WatchId) -> bool {
-        self.changes.unwatch(id)
-    }
-
-    /// Drain the events a subscription has not yet consumed.
-    pub fn drain_changes(&mut self, id: WatchId) -> Vec<crate::notify::ChangeEvent> {
-        self.changes.drain(id)
-    }
 }
 
 impl Vfs for MemFs {
@@ -1192,7 +1062,6 @@ impl Vfs for MemFs {
             mode: DEFAULT_FILE_MODE,
             symlink_target: None,
         });
-        self.changes.record(ChangeKind::Create, path);
         self.counters.creates += 1;
         let fd = Fd(self.next_fd);
         self.next_fd += 1;
@@ -1247,7 +1116,6 @@ impl Vfs for MemFs {
                     mode: DEFAULT_FILE_MODE,
                     symlink_target: None,
                 });
-                self.changes.record(ChangeKind::Create, path);
                 self.counters.creates += 1;
                 ino
             }
@@ -1383,7 +1251,6 @@ impl Vfs for MemFs {
             ino,
             mode: DEFAULT_DIR_MODE,
         });
-        self.changes.record(ChangeKind::Mkdir, path);
         self.counters.mkdirs += 1;
         Ok(())
     }
@@ -1411,7 +1278,6 @@ impl Vfs for MemFs {
         parent.attr.nlink -= 1;
         parent.attr.mtime_ns = now;
         self.log(JournalRecord::Rmdir { parent: dir, name });
-        self.changes.record(ChangeKind::Remove, path);
         self.counters.rmdirs += 1;
         Ok(())
     }
@@ -1436,7 +1302,6 @@ impl Vfs for MemFs {
         self.inode_mut(dir)?.attr.mtime_ns = now;
         self.reap(entry.ino);
         self.log(JournalRecord::Unlink { parent: dir, name });
-        self.changes.record(ChangeKind::Remove, path);
         self.counters.unlinks += 1;
         Ok(())
     }
@@ -1449,11 +1314,10 @@ impl Vfs for MemFs {
             return Err(FsError::InvalidArgument);
         }
         if pf == pt {
+            // renaming a name onto itself is a no-op, but only if it exists
+            let (dir, name) = self.resolve_parent(&pf)?;
+            self.lookup_entry(dir, &name)?.ok_or(FsError::NotFound)?;
             return Ok(());
-        }
-        // cannot move a directory into its own subtree
-        if pt.starts_with(&pf) {
-            return Err(FsError::InvalidArgument);
         }
         let (from_dir, from_name) = self.resolve_parent(&pf)?;
         let (to_dir, to_name) = self.resolve_parent(&pt)?;
@@ -1461,6 +1325,10 @@ impl Vfs for MemFs {
             .lookup_entry(from_dir, &from_name)?
             .ok_or(FsError::NotFound)?;
         let src_is_dir = src.file_type == FileType::Directory;
+        // cannot move a directory into its own subtree
+        if pt.starts_with(&pf) {
+            return Err(FsError::InvalidArgument);
+        }
         if let Some(dst) = self.lookup_entry(to_dir, &to_name)? {
             if dst.ino == src.ino {
                 return Ok(()); // hardlinks to the same inode: no-op
@@ -1509,7 +1377,6 @@ impl Vfs for MemFs {
             to_parent: to_dir,
             to_name,
         });
-        self.changes.record(ChangeKind::Rename, to);
         self.counters.renames += 1;
         Ok(())
     }
@@ -1658,7 +1525,6 @@ impl Vfs for MemFs {
             gid: None,
             times_ns: None,
         });
-        self.changes.record(ChangeKind::SetAttr, path);
         self.counters.setattrs += 1;
         Ok(())
     }
@@ -1679,7 +1545,6 @@ impl Vfs for MemFs {
             gid: Some(gid),
             times_ns: None,
         });
-        self.changes.record(ChangeKind::SetAttr, path);
         self.counters.setattrs += 1;
         Ok(())
     }
@@ -1700,7 +1565,6 @@ impl Vfs for MemFs {
             gid: None,
             times_ns: Some((atime_ns, mtime_ns)),
         });
-        self.changes.record(ChangeKind::SetAttr, path);
         self.counters.setattrs += 1;
         Ok(())
     }
@@ -1717,7 +1581,6 @@ impl Vfs for MemFs {
             Arc::make_mut(data).resize(size as usize, 0);
         }
         self.log(JournalRecord::SetSize { ino, size });
-        self.changes.record(ChangeKind::Write, path);
         Ok(())
     }
 
@@ -1766,7 +1629,6 @@ impl Vfs for MemFs {
             key: key.to_owned(),
             value: Some(value.to_vec()),
         });
-        self.changes.record(ChangeKind::SetAttr, path);
         self.counters.setattrs += 1;
         Ok(())
     }
@@ -1786,7 +1648,6 @@ impl Vfs for MemFs {
             key: key.to_owned(),
             value: None,
         });
-        self.changes.record(ChangeKind::SetAttr, path);
         self.counters.setattrs += 1;
         Ok(())
     }
@@ -1814,7 +1675,7 @@ mod tests {
         let fd = f.create("/a.txt").unwrap();
         f.close(fd).unwrap();
         let st = f.stat("/a.txt").unwrap();
-        assert!(st.is_file());
+        assert_eq!(st.file_type, FileType::Regular);
         assert_eq!(st.size, 0);
         assert_eq!(st.nlink, 1);
     }
@@ -1901,9 +1762,9 @@ mod tests {
         f.seek(fd, 0).unwrap();
         // fd was opened write-only via create; fstat still works
         assert_eq!(f.fstat(fd).unwrap().nlink, 0);
-        let before = f.inode_count();
+        let before = f.inodes.len();
         f.close(fd).unwrap();
-        assert_eq!(f.inode_count(), before - 1, "inode reaped on last close");
+        assert_eq!(f.inodes.len(), before - 1, "inode reaped on last close");
     }
 
     #[test]
@@ -1933,6 +1794,16 @@ mod tests {
         f.close(fd).unwrap();
         f.rename("/b", "/c").unwrap();
         assert_eq!(f.stat("/c").unwrap().size, 1);
+    }
+
+    #[test]
+    fn rename_onto_itself_needs_the_name() {
+        let mut f = fs();
+        assert_eq!(f.rename("/a", "/a").unwrap_err(), FsError::NotFound);
+        let fd = f.create("/a").unwrap();
+        f.close(fd).unwrap();
+        f.rename("/a", "/a").unwrap();
+        assert_eq!(f.stat("/a").unwrap().nlink, 1);
     }
 
     #[test]
@@ -2004,12 +1875,12 @@ mod tests {
         let fd = f.create("/real/file").unwrap();
         f.close(fd).unwrap();
         f.symlink("/real", "/lnk").unwrap();
-        assert!(f.stat("/lnk/file").unwrap().is_file());
+        assert_eq!(f.stat("/lnk/file").unwrap().file_type, FileType::Regular);
         assert!(f.lstat("/lnk").unwrap().is_symlink());
         assert_eq!(f.readlink("/lnk").unwrap(), "/real");
         // relative symlink
         f.symlink("real/file", "/rel").unwrap();
-        assert!(f.stat("/rel").unwrap().is_file());
+        assert_eq!(f.stat("/rel").unwrap().file_type, FileType::Regular);
     }
 
     #[test]
@@ -2063,12 +1934,12 @@ mod tests {
         let mut cfg = MemFsConfig::default();
         cfg.check_permissions = true;
         let mut f = MemFs::with_config(cfg);
-        f.set_user(0, 0);
+        (f.uid, f.gid) = (0, 0);
         f.mkdir("/locked").unwrap();
         let fd = f.create("/locked/secret").unwrap();
         f.close(fd).unwrap();
         f.chmod("/locked", 0o600).unwrap(); // no x bit
-        f.set_user(1000, 1000);
+        (f.uid, f.gid) = (1000, 1000);
         assert_eq!(
             f.stat("/locked/secret").unwrap_err(),
             FsError::PermissionDenied,
@@ -2131,8 +2002,9 @@ mod tests {
         f.close(fd).unwrap();
         let replayed = f.crash_and_recover();
         assert!(replayed >= 2);
-        assert!(
-            f.stat("/d/file").unwrap().is_file(),
+        assert_eq!(
+            f.stat("/d/file").unwrap().file_type,
+            FileType::Regular,
             "sync journal preserved all"
         );
         assert!(f.check().is_empty(), "{:?}", f.check());
@@ -2184,7 +2056,6 @@ mod tests {
         assert_eq!(c.closes, 1);
         assert_eq!(c.stats, 1);
         assert_eq!(c.unlinks, 1);
-        assert_eq!(c.metadata_total(), 4);
     }
 
     #[test]
@@ -2343,57 +2214,5 @@ mod tests {
         let fd = f.create("/c").unwrap();
         f.close(fd).unwrap();
         assert_eq!(f.getxattr("/c", "k").unwrap_err(), FsError::NotFound);
-    }
-
-    #[test]
-    fn advisory_locks_on_fds() {
-        use crate::locks::{LockKind, LockOwner, LockRange};
-        let mut f = fs();
-        let fd1 = f.create("/a").unwrap();
-        let fd2 = f.open("/a", OpenFlags::read_only()).unwrap();
-        assert!(f
-            .try_lock(fd1, LockOwner(1), LockKind::Write, LockRange::whole())
-            .unwrap());
-        assert!(!f
-            .try_lock(fd2, LockOwner(2), LockKind::Read, LockRange::whole())
-            .unwrap());
-        // process 1 terminates → all its locks vanish (paper §2.3.2)
-        assert_eq!(f.release_lock_owner(LockOwner(1)), 1);
-        assert!(f
-            .try_lock(fd2, LockOwner(2), LockKind::Read, LockRange::whole())
-            .unwrap());
-        assert_eq!(
-            f.try_lock(Fd(9999), LockOwner(1), LockKind::Read, LockRange::whole())
-                .unwrap_err(),
-            FsError::BadHandle
-        );
-    }
-
-    #[test]
-    fn change_notifications_capture_mutations() {
-        use crate::notify::ChangeKind;
-        let mut f = fs();
-        let w = f.watch_changes("/mail");
-        f.mkdir("/mail").unwrap();
-        f.mkdir("/web").unwrap();
-        let fd = f.create("/mail/msg1").unwrap();
-        f.close(fd).unwrap();
-        f.rename("/mail/msg1", "/mail/msg2").unwrap();
-        f.chmod("/mail/msg2", 0o600).unwrap();
-        f.unlink("/mail/msg2").unwrap();
-        let events = f.drain_changes(w);
-        let kinds: Vec<ChangeKind> = events.iter().map(|e| e.kind).collect();
-        assert_eq!(
-            kinds,
-            vec![
-                ChangeKind::Mkdir,
-                ChangeKind::Create,
-                ChangeKind::Rename,
-                ChangeKind::SetAttr,
-                ChangeKind::Remove
-            ]
-        );
-        assert!(events.iter().all(|e| e.path.starts_with("/mail")));
-        assert!(f.drain_changes(w).is_empty(), "drained");
     }
 }

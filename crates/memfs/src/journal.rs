@@ -1,13 +1,10 @@
 //! Metadata journaling and crash-consistency machinery (paper §2.7).
 //!
-//! Three consistency techniques from the thesis are implemented:
+//! Two consistency techniques from the thesis are implemented:
 //!
 //! * **Metadata logging** ([`Journal`]): a write-ahead log of typed metadata
 //!   records with synchronous or asynchronous commit; after a simulated
 //!   crash, committed-but-not-checkpointed records are replayed.
-//! * **Crash counts** ([`CrashCountTable`]): Patocka's `(crash count,
-//!   transaction count)` tagging, where metadata written under an
-//!   uncommitted transaction value is ignored after a crash.
 //! * The file-system check (`fsck`-style full scan) lives in
 //!   [`MemFs::check`](crate::MemFs::check), since it needs the whole tree.
 
@@ -274,96 +271,6 @@ impl Journal {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Crash counts (paper §2.7.1, Patocka [Pat06])
-// ---------------------------------------------------------------------------
-
-/// A `(crash count, transaction count)` tag attached to written metadata.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct CrashTag {
-    /// Value of the crash counter when the metadata was written.
-    pub crash: u32,
-    /// Per-crash transaction sequence number.
-    pub tx: u64,
-}
-
-/// Patocka's crash-count table: validates metadata written before a crash
-/// without replaying a log.
-///
-/// # Example
-///
-/// ```
-/// use memfs::CrashCountTable;
-///
-/// let mut t = CrashCountTable::new();
-/// let tag = t.tag_write();
-/// t.commit_transaction();
-/// assert!(t.is_valid(tag));
-/// let lost = t.tag_write();     // written but never committed…
-/// t.mount_after_crash();        // …then the system crashes
-/// assert!(t.is_valid(tag));
-/// assert!(!t.is_valid(lost), "uncommitted metadata is ignored after crash");
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct CrashCountTable {
-    /// `table[c]` = highest *committed* transaction for crash count `c`.
-    table: Vec<u64>,
-    current_crash: u32,
-    current_tx: u64,
-}
-
-impl CrashCountTable {
-    /// Create the table for a fresh file system (crash count 0).
-    pub fn new() -> Self {
-        CrashCountTable {
-            table: vec![0],
-            current_crash: 0,
-            current_tx: 0,
-        }
-    }
-
-    /// Current crash counter.
-    pub fn crash_count(&self) -> u32 {
-        self.current_crash
-    }
-
-    /// Tag a metadata write with the current `(crash, tx)` pair. The write
-    /// only becomes valid once [`commit_transaction`] is called.
-    ///
-    /// [`commit_transaction`]: CrashCountTable::commit_transaction
-    pub fn tag_write(&mut self) -> CrashTag {
-        self.current_tx += 1;
-        CrashTag {
-            crash: self.current_crash,
-            tx: self.current_tx,
-        }
-    }
-
-    /// Atomically publish all writes tagged so far.
-    pub fn commit_transaction(&mut self) {
-        let c = self.current_crash as usize;
-        self.table[c] = self.current_tx;
-    }
-
-    /// Mount after a crash: increment the crash count in memory. Writes
-    /// tagged with the old crash count beyond the committed transaction
-    /// value become invisible.
-    pub fn mount_after_crash(&mut self) {
-        self.current_crash += 1;
-        self.current_tx = 0;
-        self.table.push(0);
-    }
-
-    /// Is metadata carrying `tag` valid (i.e. was its transaction committed
-    /// before any crash)?
-    pub fn is_valid(&self, tag: CrashTag) -> bool {
-        match self.table.get(tag.crash as usize) {
-            Some(&committed) => tag.tx <= committed,
-            None => false,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -452,27 +359,5 @@ mod tests {
         let mut j = Journal::new(JournalMode::Async);
         j.commit();
         assert_eq!(j.commits(), 0);
-    }
-
-    #[test]
-    fn crash_count_multiple_crashes() {
-        let mut t = CrashCountTable::new();
-        let a = t.tag_write();
-        t.commit_transaction();
-        t.mount_after_crash();
-        let b = t.tag_write();
-        t.commit_transaction();
-        let c = t.tag_write(); // never committed
-        t.mount_after_crash();
-        assert!(t.is_valid(a));
-        assert!(t.is_valid(b));
-        assert!(!t.is_valid(c));
-        assert_eq!(t.crash_count(), 2);
-    }
-
-    #[test]
-    fn crash_tag_from_future_is_invalid() {
-        let t = CrashCountTable::new();
-        assert!(!t.is_valid(CrashTag { crash: 5, tx: 1 }));
     }
 }

@@ -9,8 +9,8 @@
 //! * three generations of directory indexes ([`LinearDir`], [`HashedDir`],
 //!   [`BTreeDir`]; paper §2.4.2),
 //! * two block allocators ([`BitmapAllocator`], [`ExtentAllocator`]),
-//! * a metadata [`Journal`] with sync/async commit and crash replay, plus
-//!   Patocka's [`CrashCountTable`] (§2.7.1),
+//! * a metadata [`Journal`] with sync/async commit and crash replay
+//!   (§2.7.1),
 //! * a power-loss simulation layer ([`crash`]) — seeded crash schedules
 //!   with torn and reordered tail writes, a checksum-verified recovery
 //!   scanner, and an online integrity [`Scrubber`],
@@ -49,8 +49,6 @@ mod dir;
 mod error;
 mod fs;
 mod journal;
-mod locks;
-mod notify;
 mod path;
 mod vfs;
 
@@ -68,8 +66,6 @@ pub use dir::{
 };
 pub use error::{FsError, FsResult};
 pub use fs::{MemFs, MemFsConfig, ROOT_INO};
-pub use journal::{CrashCountTable, CrashTag, Journal, JournalMode, JournalRecord, TxId};
-pub use locks::{LockKind, LockOwner, LockRange, LockTable};
-pub use notify::{ChangeEvent, ChangeKind, ChangeLog, WatchId};
+pub use journal::{Journal, JournalMode, JournalRecord, TxId};
 pub use path::{FsPath, NAME_MAX};
 pub use vfs::{Fd, FsStats, OpenFlags, StdFs, Vfs};

@@ -60,15 +60,6 @@ impl OpenFlags {
         }
     }
 
-    /// `O_RDWR`.
-    pub fn read_write() -> Self {
-        OpenFlags {
-            read: true,
-            write: true,
-            ..Default::default()
-        }
-    }
-
     /// `O_WRONLY | O_CREAT` — the file-creation idiom used by the MakeFiles
     /// benchmark (paper Table 3.5).
     pub fn write_create() -> Self {
@@ -546,7 +537,7 @@ mod tests {
         f.close(fd).unwrap();
         let st = f.stat("/d/a").unwrap();
         assert_eq!(st.size, 5);
-        assert!(st.is_file());
+        assert_eq!(st.file_type, FileType::Regular);
         let fd = f.open("/d/a", OpenFlags::read_only()).unwrap();
         assert_eq!(f.read(fd, 5).unwrap(), b"hello");
         f.close(fd).unwrap();

@@ -402,31 +402,6 @@ fn crash_on_empty_journal_is_clean() {
     assert!(fs.check().is_empty());
 }
 
-/// Advisory locks do not survive a power cycle: their owners are gone, and
-/// a recovered file system must not refuse new locks because of ghosts.
-#[test]
-fn locks_are_cleared_by_recovery() {
-    use memfs::{LockKind, LockOwner, LockRange};
-    let mut fs = harness_fs();
-    fs.create("/locked").and_then(|fd| fs.close(fd)).unwrap();
-    commit_all(&mut fs);
-    let fd = fs.open("/locked", OpenFlags::read_only()).unwrap();
-    let granted = fs
-        .try_lock(fd, LockOwner(7), LockKind::Write, LockRange::whole())
-        .unwrap();
-    assert!(granted);
-
-    let mut plan = CrashSpec::default().build();
-    fs.crash_with(&mut plan);
-
-    let fd = fs.open("/locked", OpenFlags::read_only()).unwrap();
-    let regranted = fs
-        .try_lock(fd, LockOwner(9), LockKind::Write, LockRange::whole())
-        .unwrap();
-    assert!(regranted, "ghost pre-crash lock blocked a fresh owner");
-    assert!(fs.check().is_empty());
-}
-
 /// The online scrubber coexists with live traffic: bounded scrub steps
 /// interleave with mutations of every payload kind, complete full sweeps
 /// with zero integrity errors, and keep working across a crash/recovery.

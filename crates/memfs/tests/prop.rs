@@ -163,25 +163,58 @@ fn fs_op() -> impl Strategy<Value = FsOp> {
     ]
 }
 
+/// Where generated file `n` lives: every third file sits inside one of the
+/// generated directories, so those directories hold files (rmdir meets
+/// non-empty directories) and renames and links cross directories.
+fn file(n: u8) -> String {
+    if n.is_multiple_of(3) {
+        format!("/d{}/f{n}", n % 8)
+    } else {
+        format!("/f{n}")
+    }
+}
+
+fn dir(n: u8) -> String {
+    format!("/d{n}")
+}
+
+/// Apply one generated op through the backend-neutral [`Vfs`] interface.
+fn apply(fs: &mut impl Vfs, op: &FsOp) -> Result<(), FsError> {
+    match op {
+        FsOp::Create(n) => fs.create(&file(*n)).and_then(|fd| fs.close(fd)),
+        FsOp::Unlink(n) => fs.unlink(&file(*n)),
+        FsOp::Mkdir(n) => fs.mkdir(&dir(*n)),
+        FsOp::Rmdir(n) => fs.rmdir(&dir(*n)),
+        FsOp::Rename(a, b) => fs.rename(&file(*a), &file(*b)),
+        FsOp::Link(a, b) => fs.link(&file(*a), &file(*b)),
+        FsOp::WriteGrow(n, size) => {
+            let fd = fs.open(&file(*n), memfs::OpenFlags::write_create())?;
+            let written = fs.write(fd, &vec![0u8; usize::from(*size)]);
+            fs.close(fd)?;
+            written.map(|_| ())
+        }
+        FsOp::Truncate(n, size) => fs.truncate(&file(*n), u64::from(*size)),
+        FsOp::Stat(n) => fs.stat(&file(*n)).map(|_| ()),
+    }
+}
+
+/// Every generated name with its size and link count, `None` if it is absent.
+fn observe(fs: &mut impl Vfs) -> Vec<(String, Option<(u64, u32)>)> {
+    (0..8)
+        .map(dir)
+        .chain((0..30).map(file))
+        .map(|name| {
+            let st = fs.stat(&name).ok().map(|st| (st.size, st.nlink));
+            (name, st)
+        })
+        .collect()
+}
+
 fn run_ops(fs: &mut MemFs, ops: &[FsOp]) {
     for op in ops {
         // Every error must be a legitimate FsError, never a panic; the
         // check() below validates global invariants.
-        let _ = match op {
-            FsOp::Create(n) => fs.create(&format!("/f{n}")).and_then(|fd| fs.close(fd)),
-            FsOp::Unlink(n) => fs.unlink(&format!("/f{n}")),
-            FsOp::Mkdir(n) => fs.mkdir(&format!("/d{n}")),
-            FsOp::Rmdir(n) => fs.rmdir(&format!("/d{n}")),
-            FsOp::Rename(a, b) => fs.rename(&format!("/f{a}"), &format!("/f{b}")),
-            FsOp::Link(a, b) => fs.link(&format!("/f{a}"), &format!("/f{b}")),
-            FsOp::WriteGrow(n, size) => (|| {
-                let fd = fs.open(&format!("/f{n}"), memfs::OpenFlags::write_create())?;
-                fs.write(fd, &vec![0u8; *size as usize])?;
-                fs.close(fd)
-            })(),
-            FsOp::Truncate(n, size) => fs.truncate(&format!("/f{n}"), *size as u64),
-            FsOp::Stat(n) => fs.stat(&format!("/f{n}")).map(|_| ()),
-        };
+        let _ = apply(fs, op);
     }
 }
 
@@ -212,30 +245,13 @@ proptest! {
         let mut fs = MemFs::with_config(config);
         fs.checkpoint();
         run_ops(&mut fs, &ops);
-        // snapshot the observable state
-        let mut before: Vec<(String, u64, u32)> = Vec::new();
-        let mut names: Vec<String> = fs
-            .readdir("/")
-            .unwrap()
-            .into_iter()
-            .filter(|e| e.name != "." && e.name != "..")
-            .map(|e| e.name)
-            .collect();
-        names.sort();
-        for name in &names {
-            if let Ok(st) = fs.stat(&format!("/{name}")) {
-                before.push((name.clone(), st.size, st.nlink));
-            }
-        }
+        let before = observe(&mut fs);
         fs.crash_and_recover();
         let problems = fs.check();
         prop_assert!(problems.is_empty(), "fsck after crash: {problems:?}");
-        for (name, size, nlink) in before {
-            let st = fs.stat(&format!("/{name}"));
-            prop_assert!(st.is_ok(), "lost {name} in crash");
-            let st = st.unwrap();
-            prop_assert_eq!(st.size, size, "size of {} changed", name);
-            prop_assert_eq!(st.nlink, nlink, "nlink of {} changed", name);
+        let after = observe(&mut fs);
+        for ((name, was), (_, is)) in before.iter().zip(&after) {
+            prop_assert_eq!(was, is, "existence, size or nlink of {} changed in crash", name);
         }
     }
 
@@ -248,8 +264,9 @@ proptest! {
         prop_assert_eq!(p1, p2);
     }
 
-    /// MemFs and StdFs agree on a create/mkdir/rename/unlink sequence's
-    /// observable outcomes (cross-backend differential test).
+    /// MemFs and StdFs agree on the outcome (error kind included) of every
+    /// generated op and, at the end, on the existence, size and link count
+    /// of every generated name (cross-backend differential test).
     #[test]
     fn memfs_matches_stdfs(ops in prop::collection::vec(fs_op(), 1..40)) {
         let tmp = std::env::temp_dir().join(format!(
@@ -261,37 +278,55 @@ proptest! {
         let mut real = memfs::StdFs::new(&tmp).unwrap();
         let mut mem = MemFs::new();
         for op in &ops {
-            let (a, b): (Result<(), FsError>, Result<(), FsError>) = match op {
-                FsOp::Create(n) => (
-                    mem.create(&format!("/f{n}")).and_then(|fd| mem.close(fd)),
-                    real.create(&format!("/f{n}")).and_then(|fd| real.close(fd)),
-                ),
-                FsOp::Unlink(n) => (
-                    mem.unlink(&format!("/f{n}")),
-                    real.unlink(&format!("/f{n}")),
-                ),
-                FsOp::Mkdir(n) => (mem.mkdir(&format!("/d{n}")), real.mkdir(&format!("/d{n}"))),
-                FsOp::Rmdir(n) => (mem.rmdir(&format!("/d{n}")), real.rmdir(&format!("/d{n}"))),
-                FsOp::Stat(n) => (
-                    mem.stat(&format!("/f{n}")).map(|_| ()),
-                    real.stat(&format!("/f{n}")).map(|_| ()),
-                ),
-                // rename/link/write semantics across backends are validated
-                // by unit tests; here we keep to the ops whose error codes
-                // are fully portable.
-                _ => continue,
-            };
+            let (a, b) = (apply(&mut mem, op), apply(&mut real, op));
             prop_assert_eq!(
-                a.is_ok(),
-                b.is_ok(),
+                &a,
+                &b,
                 "divergence on {:?}: mem={:?} real={:?}",
                 op,
                 a,
                 b
             );
         }
+        for n in 0..8 {
+            let (a, b) = (mem.stat(&dir(n)), real.stat(&dir(n)));
+            prop_assert_eq!(a.is_ok(), b.is_ok(), "{} exists: mem={:?} real={:?}", dir(n), a, b);
+        }
+        for n in 0..30 {
+            let (a, b) = (mem.stat(&file(n)), real.stat(&file(n)));
+            prop_assert_eq!(a.is_ok(), b.is_ok(), "{} exists: mem={:?} real={:?}", file(n), a, b);
+            if let (Ok(a), Ok(b)) = (a, b) {
+                prop_assert_eq!((a.size, a.nlink), (b.size, b.nlink), "size/nlink of {}", file(n));
+            }
+        }
         let _ = std::fs::remove_dir_all(&tmp);
     }
+}
+
+/// Error kinds at the edges the generator does not reach: renames into a
+/// path below the source, and hard links to directories.
+#[test]
+fn memfs_matches_stdfs_on_rename_and_link_edges() {
+    fn run(fs: &mut impl Vfs) -> Vec<Result<(), FsError>> {
+        let made = fs.create("/a").and_then(|fd| fs.close(fd));
+        vec![
+            made,
+            fs.mkdir("/d"),
+            fs.rename("/a", "/a/b"),
+            fs.rename("/d", "/d/x"),
+            fs.rename("/d", "/d/x/y"),
+            fs.rename("/nope", "/nope/x"),
+            fs.rename("/nope", "/nope"),
+            fs.link("/d", "/d2"),
+            fs.rename("/d", "/a"),
+            fs.rename("/a", "/d"),
+        ]
+    }
+    let tmp = std::env::temp_dir().join(format!("memfs-edges-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&tmp);
+    let real = run(&mut memfs::StdFs::new(&tmp).unwrap());
+    let _ = std::fs::remove_dir_all(&tmp);
+    assert_eq!(run(&mut MemFs::new()), real);
 }
 
 fn rand_suffix(ops: &[FsOp]) -> u64 {

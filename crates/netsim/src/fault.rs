@@ -188,16 +188,6 @@ impl FaultSpec {
         self
     }
 
-    /// Builder: add an RPC-loss window.
-    pub fn rpc_loss(mut self, start: SimTime, end: SimTime, probability: f64) -> Self {
-        self.clauses.push(FaultClause::RpcLoss {
-            start,
-            end,
-            probability,
-        });
-        self
-    }
-
     /// Builder: add a server crash.
     pub fn crash(mut self, server: usize, at: SimTime, down: SimDuration) -> Self {
         self.clauses
@@ -357,23 +347,6 @@ impl FaultPlan {
             latency_factor: factor,
             bandwidth_factor: factor,
         })
-    }
-
-    /// Lower bound on the composed latency factor over the whole schedule:
-    /// the product of every degradation window with factor < 1 (windows
-    /// that *slow* links never shrink a latency, so they are ignored).
-    /// `1.0` when no window can speed a link up — the common case.
-    ///
-    /// Conservative-lookahead extraction multiplies link latency bounds by
-    /// this, so partitioned execution stays safe even while a fault window
-    /// is rewriting link characteristics.
-    #[must_use]
-    pub fn min_latency_factor(&self) -> f64 {
-        self.degrades
-            .iter()
-            .map(|&(_, _, f)| f)
-            .filter(|f| *f < 1.0)
-            .product()
     }
 
     /// Is an RPC attempt at `now` lost? Draws from the plan's private

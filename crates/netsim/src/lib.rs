@@ -5,24 +5,23 @@
 //! explicitly). This crate provides:
 //!
 //! * [`LinkSpec`] — latency + bandwidth + jitter of one link,
-//! * [`Endpoint`] — a network party (client node, file server, MDS, …),
-//! * [`Topology`] — per-pair link resolution with a default link,
 //! * [`RpcProfile`] — request/response payload sizes per operation so RPC
-//!   cost scales with message size.
+//!   cost scales with message size,
+//! * [`fault`] — a declarative, seedable fault schedule ([`fault::FaultPlan`])
+//!   that [`LinkSpec::one_way_at`] consults.
 //!
 //! # Example
 //!
 //! ```
-//! use netsim::{Endpoint, LinkSpec, Topology};
+//! use netsim::{LinkSpec, RpcProfile};
 //! use simcore::{DetRng, SimDuration};
 //!
-//! let mut topo = Topology::new(LinkSpec::lan());
-//! let client = topo.add_endpoint("client0");
-//! let server = topo.add_endpoint("filer");
-//! topo.set_link(client, server, LinkSpec::wan(SimDuration::from_millis(5)));
+//! let wan = LinkSpec::wan(SimDuration::from_millis(5));
+//! let rpc = RpcProfile::metadata();
 //! let mut rng = DetRng::new(1);
-//! let rtt = topo.rtt(client, server, 128, 128, &mut rng);
+//! let rtt = wan.one_way(rpc.request_bytes, &mut rng) + wan.one_way(rpc.response_bytes, &mut rng);
 //! assert!(rtt >= SimDuration::from_millis(10), "two WAN crossings");
+//! assert!(wan.min_latency() <= wan.one_way(0, &mut rng));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -33,17 +32,6 @@ pub mod fault;
 use fault::FaultPlan;
 use serde::{Deserialize, Serialize};
 use simcore::{DetRng, SimDuration, SimTime};
-use std::collections::HashMap;
-
-/// A network party. Returned by [`Topology::add_endpoint`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct Endpoint(pub u32);
-
-impl std::fmt::Display for Endpoint {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "ep#{}", self.0)
-    }
-}
 
 /// One directed link's characteristics.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -103,12 +91,6 @@ impl LinkSpec {
         self
     }
 
-    /// Builder-style latency override.
-    pub fn with_latency(mut self, latency: SimDuration) -> Self {
-        self.latency = latency;
-        self
-    }
-
     /// Time to move `payload` bytes one way across this link.
     pub fn one_way(&self, payload: u64, rng: &mut DetRng) -> SimDuration {
         let transmit =
@@ -129,8 +111,8 @@ impl LinkSpec {
 
     /// Lower bound on this link's one-way latency: the base latency under
     /// worst-case downward jitter (`latency × (1 − jitter)`), ignoring the
-    /// transmit term (payload may be zero). This is the per-link input to
-    /// conservative-lookahead extraction ([`Topology::lookahead`]).
+    /// transmit term (payload may be zero). A partitioned model uses it as
+    /// its conservative lookahead (`dfs::PartitionPlan::lookahead`).
     #[must_use]
     pub fn min_latency(&self) -> SimDuration {
         if self.jitter > 0.0 {
@@ -207,201 +189,6 @@ impl RpcProfile {
     }
 }
 
-/// The set of endpoints and links.
-///
-/// Links are symmetric: `set_link(a, b, s)` also applies to `b → a`.
-#[derive(Debug)]
-pub struct Topology {
-    default_link: LinkSpec,
-    names: Vec<String>,
-    links: HashMap<(Endpoint, Endpoint), LinkSpec>,
-    faults: Option<FaultPlan>,
-}
-
-impl Topology {
-    /// Create a topology where unspecified pairs use `default_link`.
-    pub fn new(default_link: LinkSpec) -> Self {
-        Topology {
-            default_link,
-            names: Vec::new(),
-            links: HashMap::new(),
-            faults: None,
-        }
-    }
-
-    /// Attach a fault plan; the `*_at` query methods consult it.
-    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.faults = Some(plan);
-    }
-
-    /// The attached fault plan, if any.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.faults.as_ref()
-    }
-
-    /// Register an endpoint.
-    pub fn add_endpoint(&mut self, name: &str) -> Endpoint {
-        let id = Endpoint(self.names.len() as u32);
-        self.names.push(name.to_owned());
-        id
-    }
-
-    /// Endpoint display name.
-    pub fn name(&self, ep: Endpoint) -> &str {
-        &self.names[ep.0 as usize]
-    }
-
-    /// Number of registered endpoints.
-    pub fn len(&self) -> usize {
-        self.names.len()
-    }
-
-    /// `true` if no endpoints are registered.
-    pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
-    }
-
-    /// Override the (symmetric) link between two endpoints.
-    pub fn set_link(&mut self, a: Endpoint, b: Endpoint, spec: LinkSpec) {
-        let key = if a <= b { (a, b) } else { (b, a) };
-        self.links.insert(key, spec);
-    }
-
-    /// The link between two endpoints ([`LinkSpec::local`] when they are the
-    /// same endpoint and no override exists).
-    pub fn link(&self, a: Endpoint, b: Endpoint) -> LinkSpec {
-        let key = if a <= b { (a, b) } else { (b, a) };
-        match self.links.get(&key) {
-            Some(&s) => s,
-            None if a == b => LinkSpec::local(),
-            None => self.default_link,
-        }
-    }
-
-    /// One-way delay for `payload` bytes from `a` to `b`.
-    pub fn one_way(&self, a: Endpoint, b: Endpoint, payload: u64, rng: &mut DetRng) -> SimDuration {
-        self.link(a, b).one_way(payload, rng)
-    }
-
-    /// Full round-trip time for a request/response pair (excluding server
-    /// service time, which the file-system models charge separately).
-    pub fn rtt(
-        &self,
-        a: Endpoint,
-        b: Endpoint,
-        request_bytes: u64,
-        response_bytes: u64,
-        rng: &mut DetRng,
-    ) -> SimDuration {
-        let link = self.link(a, b);
-        link.one_way(request_bytes, rng) + link.one_way(response_bytes, rng)
-    }
-
-    /// RTT for a profiled RPC.
-    pub fn rpc(
-        &self,
-        a: Endpoint,
-        b: Endpoint,
-        profile: RpcProfile,
-        rng: &mut DetRng,
-    ) -> SimDuration {
-        self.rtt(a, b, profile.request_bytes, profile.response_bytes, rng)
-    }
-
-    /// Fault-aware [`Topology::one_way`] (consults the attached plan).
-    pub fn one_way_at(
-        &self,
-        a: Endpoint,
-        b: Endpoint,
-        payload: u64,
-        now: SimTime,
-        rng: &mut DetRng,
-    ) -> SimDuration {
-        self.link(a, b)
-            .one_way_at(payload, now, self.faults.as_ref(), rng)
-    }
-
-    /// Minimum one-way latency across **every** link of the topology (all
-    /// overrides plus the default link), fault-plan aware: jittered links
-    /// are lower-bounded by their worst-case downward jitter, and latency
-    /// speed-up degradation windows (factor < 1) scale the bound further.
-    ///
-    /// This is a safe global lookahead for any partitioning of the
-    /// endpoints; [`Topology::lookahead`] gives the (usually larger) bound
-    /// for one specific partitioning.
-    #[must_use]
-    pub fn min_link_latency(&self) -> SimDuration {
-        let base = self
-            .links
-            .values()
-            .map(LinkSpec::min_latency)
-            .chain(std::iter::once(self.default_link.min_latency()))
-            .min()
-            .unwrap_or(self.default_link.min_latency());
-        self.apply_fault_floor(base)
-    }
-
-    /// Conservative lookahead for a domain partitioning: a lower bound on
-    /// the one-way latency of any message between endpoints mapped to
-    /// *different* domains by `domain_of`. Intra-domain links (including
-    /// the implicit [`LinkSpec::local`] self-link) do not constrain the
-    /// bound — that is the whole point of partitioning along the network's
-    /// fault lines.
-    ///
-    /// Returns `None` when every endpoint lands in one domain (no cross
-    /// traffic, lookahead unbounded). Fault-plan aware like
-    /// [`Topology::min_link_latency`].
-    #[must_use]
-    pub fn lookahead(&self, domain_of: impl Fn(Endpoint) -> usize) -> Option<SimDuration> {
-        let n = u32::try_from(self.names.len()).expect("endpoint count overflow");
-        let mut min: Option<SimDuration> = None;
-        for a in 0..n {
-            for b in (a + 1)..n {
-                let (a, b) = (Endpoint(a), Endpoint(b));
-                if domain_of(a) == domain_of(b) {
-                    continue;
-                }
-                let lat = self.link(a, b).min_latency();
-                min = Some(min.map_or(lat, |m| m.min(lat)));
-            }
-        }
-        min.map(|m| self.apply_fault_floor(m))
-    }
-
-    /// Scale a latency lower bound by the fault plan's worst-case latency
-    /// *speed-up* (degradation windows with factor < 1). Slow-down windows
-    /// (factor ≥ 1) only delay messages and never invalidate a lower bound.
-    fn apply_fault_floor(&self, bound: SimDuration) -> SimDuration {
-        match self.faults.as_ref() {
-            Some(plan) => {
-                let floor = plan.min_latency_factor();
-                if floor < 1.0 {
-                    bound.mul_f64(floor)
-                } else {
-                    bound
-                }
-            }
-            None => bound,
-        }
-    }
-
-    /// Fault-aware [`Topology::rtt`] (consults the attached plan).
-    pub fn rtt_at(
-        &self,
-        a: Endpoint,
-        b: Endpoint,
-        request_bytes: u64,
-        response_bytes: u64,
-        now: SimTime,
-        rng: &mut DetRng,
-    ) -> SimDuration {
-        let link = self.link(a, b);
-        let faults = self.faults.as_ref();
-        link.one_way_at(request_bytes, now, faults, rng)
-            + link.one_way_at(response_bytes, now, faults, rng)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -410,32 +197,8 @@ mod tests {
         DetRng::new(42)
     }
 
-    #[test]
-    fn default_link_applies_to_unknown_pairs() {
-        let mut t = Topology::new(LinkSpec::lan());
-        let a = t.add_endpoint("a");
-        let b = t.add_endpoint("b");
-        assert_eq!(t.link(a, b), LinkSpec::lan());
-        assert_eq!(t.name(a), "a");
-        assert_eq!(t.len(), 2);
-    }
-
-    #[test]
-    fn self_link_is_local() {
-        let mut t = Topology::new(LinkSpec::lan());
-        let a = t.add_endpoint("a");
-        assert_eq!(t.link(a, a), LinkSpec::local());
-    }
-
-    #[test]
-    fn link_override_is_symmetric() {
-        let mut t = Topology::new(LinkSpec::lan());
-        let a = t.add_endpoint("a");
-        let b = t.add_endpoint("b");
-        let wan = LinkSpec::wan(SimDuration::from_millis(10));
-        t.set_link(a, b, wan);
-        assert_eq!(t.link(a, b), wan);
-        assert_eq!(t.link(b, a), wan);
+    fn plan(spec: &str) -> FaultPlan {
+        fault::FaultSpec::parse(spec).unwrap().build()
     }
 
     #[test]
@@ -451,15 +214,6 @@ mod tests {
             SimDuration::from_millis(501),
             "1 ms latency + 0.5 s transmit"
         );
-    }
-
-    #[test]
-    fn rtt_is_two_crossings() {
-        let mut t = Topology::new(LinkSpec::wan(SimDuration::from_millis(5)));
-        let a = t.add_endpoint("a");
-        let b = t.add_endpoint("b");
-        let r = t.rtt(a, b, 0, 0, &mut rng());
-        assert_eq!(r, SimDuration::from_millis(10));
     }
 
     #[test]
@@ -484,10 +238,7 @@ mod tests {
 
     #[test]
     fn one_way_at_matches_one_way_outside_fault_windows() {
-        use simcore::SimTime;
-        let plan = fault::FaultSpec::parse("degrade@10s..20s:4x")
-            .unwrap()
-            .build();
+        let plan = plan("degrade@10s..20s:4x");
         let link = LinkSpec::lan().with_jitter(0.1);
         let mut r1 = DetRng::new(3);
         let mut r2 = DetRng::new(3);
@@ -503,10 +254,7 @@ mod tests {
 
     #[test]
     fn degradation_window_slows_the_link() {
-        use simcore::SimTime;
-        let plan = fault::FaultSpec::parse("degrade@10s..20s:4x")
-            .unwrap()
-            .build();
+        let plan = plan("degrade@10s..20s:4x");
         let link = LinkSpec::lan();
         let healthy = link.one_way_at(1_000_000, SimTime::from_secs(5), Some(&plan), &mut rng());
         let degraded = link.one_way_at(1_000_000, SimTime::from_secs(15), Some(&plan), &mut rng());
@@ -515,89 +263,33 @@ mod tests {
     }
 
     #[test]
-    fn topology_consults_attached_fault_plan() {
-        use simcore::SimTime;
-        let mut t = Topology::new(LinkSpec::lan());
-        let a = t.add_endpoint("a");
-        let b = t.add_endpoint("b");
-        let before = t.rtt_at(a, b, 128, 128, SimTime::from_secs(1), &mut rng());
-        t.set_fault_plan(
-            fault::FaultSpec::parse("degrade@0s..60s:2x")
-                .unwrap()
-                .build(),
-        );
-        let after = t.rtt_at(a, b, 128, 128, SimTime::from_secs(1), &mut rng());
-        assert!(after > before);
-        assert!(t.fault_plan().is_some());
+    fn one_way_at_without_a_plan_is_one_way() {
+        let link = LinkSpec::lan();
+        let now = SimTime::from_secs(1);
+        let bare = link.one_way_at(128, now, None, &mut rng());
+        assert_eq!(bare, link.one_way(128, &mut rng()));
+        let slowed = link.one_way_at(128, now, Some(&plan("degrade@0s..60s:2x")), &mut rng());
+        assert!(slowed > bare);
     }
 
     #[test]
     fn deterministic_given_seed() {
-        let t = {
-            let mut t = Topology::new(LinkSpec::lan().with_jitter(0.1));
-            t.add_endpoint("a");
-            t.add_endpoint("b");
-            t
-        };
+        let link = LinkSpec::lan().with_jitter(0.1);
         let mut r1 = DetRng::new(7);
         let mut r2 = DetRng::new(7);
         for _ in 0..50 {
-            assert_eq!(
-                t.rtt(Endpoint(0), Endpoint(1), 128, 128, &mut r1),
-                t.rtt(Endpoint(0), Endpoint(1), 128, 128, &mut r2)
-            );
+            assert_eq!(link.one_way(128, &mut r1), link.one_way(128, &mut r2));
         }
     }
 
     #[test]
-    fn min_link_latency_covers_overrides_and_jitter() {
-        let mut t = Topology::new(LinkSpec::lan()); // 100 µs default
-        let a = t.add_endpoint("a");
-        let b = t.add_endpoint("b");
-        t.add_endpoint("c");
-        assert_eq!(t.min_link_latency(), SimDuration::from_micros(100));
-        t.set_link(a, b, LinkSpec::ten_gige().with_jitter(0.2)); // 50 µs ± 20%
-        assert_eq!(t.min_link_latency(), SimDuration::from_micros(40));
-    }
-
-    #[test]
-    fn lookahead_ignores_intra_domain_links() {
-        let mut t = Topology::new(LinkSpec::lan()); // 100 µs default
-        let a = t.add_endpoint("a");
-        let b = t.add_endpoint("b");
-        let c = t.add_endpoint("c");
-        // fast link inside one domain must not shrink the cross bound
-        t.set_link(a, b, LinkSpec::local()); // 5 µs, same domain below
-        t.set_link(a, c, LinkSpec::ten_gige()); // 50 µs, cross
-        let domain_of = |ep: Endpoint| usize::from(ep == c);
-        assert_eq!(t.lookahead(domain_of), Some(SimDuration::from_micros(50)));
-        // everything in one domain: no cross traffic, no bound
-        assert_eq!(t.lookahead(|_| 0), None);
-    }
-
-    #[test]
-    fn lookahead_respects_fault_speedups() {
-        let mut t = Topology::new(LinkSpec::lan()); // 100 µs
-        let a = t.add_endpoint("a");
-        let b = t.add_endpoint("b");
-        // slow-down windows don't change a lower bound…
-        t.set_fault_plan(
-            fault::FaultSpec::parse("degrade@0s..60s:4x")
-                .unwrap()
-                .build(),
-        );
-        assert_eq!(
-            t.lookahead(|ep| ep.0 as usize),
-            Some(SimDuration::from_micros(100))
-        );
-        // …a speed-up window (factor < 1) must scale it
-        let mut spec = fault::FaultSpec::parse("degrade@0s..60s:4x").unwrap();
-        spec = spec.degrade(SimTime::ZERO, SimTime::from_secs(10), 0.5);
-        t.set_fault_plan(spec.build());
-        assert_eq!(
-            t.lookahead(|ep| ep.0 as usize),
-            Some(SimDuration::from_micros(50))
-        );
-        let _ = (a, b);
+    fn min_latency_covers_jitter() {
+        assert_eq!(LinkSpec::lan().min_latency(), SimDuration::from_micros(100));
+        let link = LinkSpec::ten_gige().with_jitter(0.2); // 50 µs ± 20%
+        assert_eq!(link.min_latency(), SimDuration::from_micros(40));
+        let mut r = rng();
+        for _ in 0..100 {
+            assert!(link.one_way(0, &mut r) >= link.min_latency());
+        }
     }
 }

@@ -14,13 +14,13 @@
 //! * [`PsResource`] — a processor-sharing resource with per-job weights
 //!   (used to model client CPUs under `nice`-style priority scheduling,
 //!   paper §4.4),
-//! * [`HoldLock`] — a FIFO mutual-exclusion token held across an arbitrary
-//!   number of simulation stages (used to model client-side serialization in
-//!   Lustre/AFS/CXFS clients),
+//! * [`Semaphore`] — a counting semaphore held across simulation stages
+//!   (used to model client-side serialization in Lustre/AFS/CXFS clients and
+//!   write-back windows),
 //! * [`DetRng`] — a deterministic random-number source so that every
 //!   experiment is reproducible bit-for-bit,
-//! * [`OnlineStats`] — streaming mean/variance/min/max used by the result
-//!   pipeline.
+//! * [`LatencyHistogram`] — a log-bucketed latency histogram for percentile
+//!   reporting.
 //!
 //! # Example
 //!
@@ -40,7 +40,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod lock;
 pub mod par;
 pub mod prof;
 mod ps;
@@ -52,13 +51,12 @@ mod stats;
 pub mod telemetry;
 mod time;
 
-pub use lock::HoldLock;
 pub use ps::{PsCompletion, PsResource};
-pub use resource::{FifoResource, ResourceStats, ServiceStart};
+pub use resource::{FifoResource, ServiceStart};
 pub use rng::DetRng;
 pub use sched::{EventId, Scheduler};
 pub use sem::Semaphore;
-pub use stats::{LatencyHistogram, OnlineStats};
+pub use stats::LatencyHistogram;
 pub use telemetry::TelemetryReport;
 pub use time::{SimDuration, SimTime};
 

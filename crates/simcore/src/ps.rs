@@ -13,10 +13,10 @@ use std::collections::HashMap;
 
 /// Predicted completion returned by [`PsResource::next_completion`].
 ///
-/// The prediction is only valid while the resource's
-/// [`generation`](PsResource::generation) is unchanged; any arrival, removal
-/// or re-weighting invalidates it, and the caller must discard the scheduled
-/// event and re-query.
+/// The prediction is only valid while the resource's generation (bumped by
+/// every state change) is unchanged; any arrival, removal or re-weighting
+/// invalidates it, and the caller must discard the scheduled event and
+/// re-query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PsCompletion {
     /// Job predicted to finish first.
@@ -61,7 +61,6 @@ pub struct PsResource {
     jobs: HashMap<JobId, PsJob>,
     last_update: SimTime,
     generation: u64,
-    completed: u64,
 }
 
 const EPS: f64 = 1e-9;
@@ -79,47 +78,11 @@ impl PsResource {
             jobs: HashMap::new(),
             last_update: SimTime::ZERO,
             generation: 0,
-            completed: 0,
         }
-    }
-
-    /// Number of cores.
-    pub fn cores(&self) -> usize {
-        self.cores
-    }
-
-    /// Number of active jobs (including background jobs).
-    pub fn active(&self) -> usize {
-        self.jobs.len()
-    }
-
-    /// Jobs completed so far.
-    pub fn completed(&self) -> u64 {
-        self.completed
-    }
-
-    /// Current generation; bumped by every state change.
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// The instantaneous service rate (in cores) a job would receive right
-    /// now, given the current population.
-    pub fn rate_of(&self, job: JobId) -> Option<f64> {
-        let j = self.jobs.get(&job)?;
-        Some(self.rate(j.weight))
     }
 
     fn total_weight(&self) -> f64 {
         self.jobs.values().map(|j| j.weight).sum()
-    }
-
-    fn rate(&self, weight: f64) -> f64 {
-        let w = self.total_weight();
-        if w <= 0.0 {
-            return 0.0;
-        }
-        (self.cores as f64 * weight / w).min(1.0)
     }
 
     fn advance(&mut self, now: SimTime) {
@@ -249,7 +212,6 @@ impl PsResource {
             return None;
         }
         self.jobs.remove(&done);
-        self.completed += 1;
         self.generation += 1;
         Some(done)
     }
@@ -334,15 +296,6 @@ mod tests {
         let c2 = cpu.next_completion(SimTime::from_millis(500)).unwrap();
         assert_eq!(c2.job, JobId(1));
         assert_eq!(c2.at, SimTime::from_millis(1500));
-    }
-
-    #[test]
-    fn rate_of_reports_share() {
-        let mut cpu = PsResource::new(1);
-        cpu.arrive(SimTime::ZERO, JobId(1), secs(1.0), 1.0);
-        cpu.arrive(SimTime::ZERO, JobId(2), secs(1.0), 1.0);
-        assert!((cpu.rate_of(JobId(1)).unwrap() - 0.5).abs() < 1e-12);
-        assert_eq!(cpu.rate_of(JobId(7)), None);
     }
 
     #[test]

@@ -13,41 +13,6 @@ pub struct ServiceStart {
     pub completes_at: SimTime,
 }
 
-/// Utilization statistics kept by a [`FifoResource`].
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct ResourceStats {
-    /// Jobs that finished service.
-    pub completed: u64,
-    /// Total time jobs spent waiting in the queue before service.
-    pub total_wait: SimDuration,
-    /// Total service (busy) time accumulated over all servers.
-    pub total_busy: SimDuration,
-    /// Largest queue length observed.
-    pub max_queue_len: usize,
-}
-
-impl ResourceStats {
-    /// Mean queueing delay per completed job.
-    pub fn mean_wait(&self) -> SimDuration {
-        if self.completed == 0 {
-            SimDuration::ZERO
-        } else {
-            self.total_wait / self.completed
-        }
-    }
-
-    /// Utilization over the interval `[SimTime::ZERO, now]` for `servers`
-    /// servers, as a fraction in `[0, 1]`.
-    pub fn utilization(&self, now: SimTime, servers: usize) -> f64 {
-        let horizon = now.as_secs_f64() * servers as f64;
-        if horizon <= 0.0 {
-            0.0
-        } else {
-            (self.total_busy.as_secs_f64() / horizon).min(1.0)
-        }
-    }
-}
-
 /// A k-server FIFO queueing station.
 ///
 /// This models a metadata server, an NVRAM commit log, a disk, or any other
@@ -90,9 +55,8 @@ impl ResourceStats {
 pub struct FifoResource {
     servers: usize,
     busy: usize,
-    queue: VecDeque<(JobId, SimDuration, SimTime)>,
+    queue: VecDeque<(JobId, SimDuration)>,
     paused_until: SimTime,
-    stats: ResourceStats,
 }
 
 impl FifoResource {
@@ -108,13 +72,7 @@ impl FifoResource {
             busy: 0,
             queue: VecDeque::new(),
             paused_until: SimTime::ZERO,
-            stats: ResourceStats::default(),
         }
-    }
-
-    /// Number of parallel servers.
-    pub fn servers(&self) -> usize {
-        self.servers
     }
 
     /// Jobs currently waiting (not in service).
@@ -125,11 +83,6 @@ impl FifoResource {
     /// Jobs currently in service.
     pub fn busy(&self) -> usize {
         self.busy
-    }
-
-    /// Accumulated statistics.
-    pub fn stats(&self) -> ResourceStats {
-        self.stats
     }
 
     /// Forbid new service starts until `until`. Jobs already in service are
@@ -143,11 +96,6 @@ impl FifoResource {
         self.paused_until = self.paused_until.max(until);
     }
 
-    /// The end of the current pause window, if in the future.
-    pub fn paused_until(&self) -> SimTime {
-        self.paused_until
-    }
-
     /// A job arrives with the given service `demand`.
     ///
     /// Returns `Some(ServiceStart)` if it enters service immediately,
@@ -159,10 +107,9 @@ impl FifoResource {
         demand: SimDuration,
     ) -> Option<ServiceStart> {
         if self.busy < self.servers && now >= self.paused_until {
-            Some(self.start_service(now, job, demand, now))
+            Some(self.start_service(now, job, demand))
         } else {
-            self.queue.push_back((job, demand, now));
-            self.stats.max_queue_len = self.stats.max_queue_len.max(self.queue.len());
+            self.queue.push_back((job, demand));
             None
         }
     }
@@ -177,7 +124,6 @@ impl FifoResource {
     pub fn complete(&mut self, now: SimTime) -> Option<ServiceStart> {
         assert!(self.busy > 0, "complete() called with no job in service");
         self.busy -= 1;
-        self.stats.completed += 1;
         self.try_start_next(now)
     }
 
@@ -198,20 +144,12 @@ impl FifoResource {
         if now < self.paused_until || self.busy >= self.servers {
             return None;
         }
-        let (job, demand, arrived) = self.queue.pop_front()?;
-        self.stats.total_wait += now.since(arrived);
-        Some(self.start_service(now, job, demand, arrived))
+        let (job, demand) = self.queue.pop_front()?;
+        Some(self.start_service(now, job, demand))
     }
 
-    fn start_service(
-        &mut self,
-        now: SimTime,
-        job: JobId,
-        demand: SimDuration,
-        _arrived: SimTime,
-    ) -> ServiceStart {
+    fn start_service(&mut self, now: SimTime, job: JobId, demand: SimDuration) -> ServiceStart {
         self.busy += 1;
-        self.stats.total_busy += demand;
         let completes_at = now + demand;
         ServiceStart { job, completes_at }
     }
@@ -238,7 +176,6 @@ mod tests {
         assert_eq!(s3.job, JobId(3));
         assert_eq!(s3.completes_at, SimTime::from_millis(16));
         assert!(r.complete(s3.completes_at).is_none());
-        assert_eq!(r.stats().completed, 3);
     }
 
     #[test]
@@ -249,20 +186,6 @@ mod tests {
         assert!(r.arrive(SimTime::ZERO, JobId(3), ms(10)).is_none());
         assert_eq!(r.busy(), 2);
         assert_eq!(r.queue_len(), 1);
-    }
-
-    #[test]
-    fn wait_time_accounting() {
-        let mut r = FifoResource::new(1);
-        let s1 = r.arrive(SimTime::ZERO, JobId(1), ms(10)).unwrap();
-        r.arrive(SimTime::ZERO, JobId(2), ms(10));
-        // Job 2's queueing delay (10 ms) is recorded when it enters service.
-        let s2 = r.complete(s1.completes_at).unwrap();
-        assert_eq!(r.stats().completed, 1);
-        assert_eq!(r.stats().total_wait, ms(10));
-        r.complete(s2.completes_at);
-        assert_eq!(r.stats().completed, 2);
-        assert_eq!(r.stats().mean_wait(), ms(5));
     }
 
     #[test]
@@ -288,18 +211,6 @@ mod tests {
         assert!(r.complete(s.completes_at).is_none());
         let started = r.kick(SimTime::from_millis(100));
         assert_eq!(started.len(), 1);
-    }
-
-    #[test]
-    fn utilization_and_queue_stats() {
-        let mut r = FifoResource::new(1);
-        let s = r.arrive(SimTime::ZERO, JobId(1), ms(500)).unwrap();
-        r.arrive(SimTime::ZERO, JobId(2), ms(1));
-        r.arrive(SimTime::ZERO, JobId(3), ms(1));
-        assert_eq!(r.stats().max_queue_len, 2);
-        r.complete(s.completes_at);
-        let u = r.stats().utilization(SimTime::from_millis(500), 1);
-        assert!(u > 0.99, "server was busy the whole time: {u}");
     }
 
     #[test]

@@ -32,13 +32,6 @@ impl DetRng {
         }
     }
 
-    /// Derive an independent child generator (e.g. one per simulated node)
-    /// whose stream does not interleave with the parent's.
-    pub fn fork(&mut self, salt: u64) -> DetRng {
-        let s: u64 = self.inner.gen::<u64>() ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        DetRng::new(s)
-    }
-
     /// Uniform sample in `[lo, hi)`.
     ///
     /// # Panics
@@ -107,17 +100,6 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(a.uniform_u64(0, 1000), b.uniform_u64(0, 1000));
         }
-    }
-
-    #[test]
-    fn forks_are_independent_but_deterministic() {
-        let mut a = DetRng::new(7);
-        let mut b = DetRng::new(7);
-        let mut fa = a.fork(1);
-        let mut fb = b.fork(1);
-        assert_eq!(fa.uniform_u64(0, 1 << 40), fb.uniform_u64(0, 1 << 40));
-        let mut fa2 = a.fork(2);
-        assert_ne!(fa.uniform_u64(0, 1 << 40), fa2.uniform_u64(0, 1 << 40));
     }
 
     #[test]

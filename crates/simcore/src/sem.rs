@@ -5,11 +5,10 @@ use std::collections::VecDeque;
 
 /// A counting semaphore held across simulation stages.
 ///
-/// Generalizes [`HoldLock`](crate::HoldLock) to `permits > 1`. Used to model
-/// client-side concurrency windows: a Lustre client's single modifying
-/// metadata RPC in flight (permits = 1), or a metadata write-back cache that
-/// admits a window of uncommitted operations (permits = window size, paper
-/// §4.8).
+/// Used to model client-side concurrency windows: a Lustre client's single
+/// modifying metadata RPC in flight (permits = 1), or a metadata write-back
+/// cache that admits a window of uncommitted operations (permits = window
+/// size, paper §4.8).
 ///
 /// # Example
 ///
@@ -28,8 +27,6 @@ pub struct Semaphore {
     permits: usize,
     available: usize,
     queue: VecDeque<JobId>,
-    acquisitions: u64,
-    max_queue_len: usize,
 }
 
 impl Semaphore {
@@ -44,34 +41,12 @@ impl Semaphore {
             permits,
             available: permits,
             queue: VecDeque::new(),
-            acquisitions: 0,
-            max_queue_len: 0,
         }
-    }
-
-    /// Total permits.
-    pub fn permits(&self) -> usize {
-        self.permits
-    }
-
-    /// Currently available permits.
-    pub fn available(&self) -> usize {
-        self.available
     }
 
     /// Queued waiters.
     pub fn queue_len(&self) -> usize {
         self.queue.len()
-    }
-
-    /// Total successful acquisitions.
-    pub fn acquisitions(&self) -> u64 {
-        self.acquisitions
-    }
-
-    /// Largest waiter queue observed.
-    pub fn max_queue_len(&self) -> usize {
-        self.max_queue_len
     }
 
     /// Try to take a permit for `job`. `true` if granted immediately;
@@ -80,11 +55,9 @@ impl Semaphore {
     pub fn acquire(&mut self, job: JobId) -> bool {
         if self.available > 0 {
             self.available -= 1;
-            self.acquisitions += 1;
             true
         } else {
             self.queue.push_back(job);
-            self.max_queue_len = self.max_queue_len.max(self.queue.len());
             false
         }
     }
@@ -97,24 +70,12 @@ impl Semaphore {
     /// Panics if all permits are already available and no one is waiting
     /// (double release).
     pub fn release(&mut self) -> Option<JobId> {
-        if let Some(next) = self.queue.pop_front() {
-            self.acquisitions += 1;
-            Some(next)
-        } else {
+        let next = self.queue.pop_front();
+        if next.is_none() {
             assert!(self.available < self.permits, "double release on semaphore");
             self.available += 1;
-            None
         }
-    }
-
-    /// Remove a waiting job (e.g. a worker whose run deadline expired).
-    pub fn cancel_waiter(&mut self, job: JobId) -> bool {
-        if let Some(pos) = self.queue.iter().position(|&j| j == job) {
-            self.queue.remove(pos);
-            true
-        } else {
-            false
-        }
+        next
     }
 }
 
@@ -131,8 +92,7 @@ mod tests {
         assert_eq!(s.release(), Some(JobId(2)));
         assert_eq!(s.release(), Some(JobId(3)));
         assert_eq!(s.release(), None);
-        assert_eq!(s.available(), 1);
-        assert_eq!(s.acquisitions(), 3);
+        assert_eq!(s.available, 1);
     }
 
     #[test]
@@ -141,9 +101,9 @@ mod tests {
         for i in 0..3 {
             assert!(s.acquire(JobId(i)));
         }
-        assert_eq!(s.available(), 0);
+        assert_eq!(s.available, 0);
         assert!(!s.acquire(JobId(9)));
-        assert_eq!(s.max_queue_len(), 1);
+        assert_eq!(s.queue_len(), 1);
     }
 
     #[test]
@@ -151,14 +111,5 @@ mod tests {
     fn double_release_panics() {
         let mut s = Semaphore::new(1);
         s.release();
-    }
-
-    #[test]
-    fn cancel_waiter() {
-        let mut s = Semaphore::new(1);
-        s.acquire(JobId(1));
-        s.acquire(JobId(2));
-        assert!(s.cancel_waiter(JobId(2)));
-        assert_eq!(s.release(), None);
     }
 }

@@ -1,171 +1,6 @@
-//! Streaming statistics (Welford's algorithm).
+//! Streaming latency statistics.
 
 use serde::{Deserialize, Serialize};
-
-/// Online mean / variance / min / max accumulator.
-///
-/// Used throughout the result-preprocessing pipeline, e.g. to compute the
-/// standard deviation and coefficient of variation of per-process throughput
-/// (paper §3.3.9, listing 3.4).
-///
-/// # Example
-///
-/// ```
-/// use simcore::OnlineStats;
-/// let mut s = OnlineStats::new();
-/// for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-///     s.push(x);
-/// }
-/// assert_eq!(s.mean(), 5.0);
-/// assert_eq!(s.population_stddev(), 2.0);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct OnlineStats {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Default for OnlineStats {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl OnlineStats {
-    /// Create an empty accumulator.
-    pub fn new() -> Self {
-        OnlineStats {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Add an observation.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Arithmetic mean (0 if empty).
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance (0 if fewer than one observation).
-    pub fn population_variance(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn population_stddev(&self) -> f64 {
-        self.population_variance().sqrt()
-    }
-
-    /// Sample variance (Bessel-corrected; 0 if fewer than two observations).
-    pub fn sample_variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
-    /// Sample standard deviation.
-    pub fn sample_stddev(&self) -> f64 {
-        self.sample_variance().sqrt()
-    }
-
-    /// Coefficient of variation: population stddev / mean (0 if the mean is
-    /// zero, matching the convention in the paper's listing 3.4 where idle
-    /// intervals report COV 0).
-    pub fn coefficient_of_variation(&self) -> f64 {
-        let m = self.mean();
-        if m == 0.0 {
-            0.0
-        } else {
-            self.population_stddev() / m
-        }
-    }
-
-    /// Minimum observation (`None` if empty).
-    pub fn min(&self) -> Option<f64> {
-        if self.n == 0 {
-            None
-        } else {
-            Some(self.min)
-        }
-    }
-
-    /// Maximum observation (`None` if empty).
-    pub fn max(&self) -> Option<f64> {
-        if self.n == 0 {
-            None
-        } else {
-            Some(self.max)
-        }
-    }
-
-    /// Merge another accumulator into this one (parallel Welford merge).
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = *other;
-            return;
-        }
-        let n1 = self.n as f64;
-        let n2 = other.n as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.n += other.n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
-
-impl FromIterator<f64> for OnlineStats {
-    fn from_iter<I: IntoIterator<Item = f64>>(iter: I) -> Self {
-        let mut s = OnlineStats::new();
-        for x in iter {
-            s.push(x);
-        }
-        s
-    }
-}
-
-impl Extend<f64> for OnlineStats {
-    fn extend<I: IntoIterator<Item = f64>>(&mut self, iter: I) {
-        for x in iter {
-            self.push(x);
-        }
-    }
-}
 
 /// A log-bucketed latency histogram: cheap to update per operation, good
 /// enough for percentile reporting (each bucket covers one power of two of
@@ -293,50 +128,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn empty_stats() {
-        let s = OnlineStats::new();
-        assert_eq!(s.count(), 0);
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.population_stddev(), 0.0);
-        assert_eq!(s.coefficient_of_variation(), 0.0);
-        assert_eq!(s.min(), None);
-        assert_eq!(s.max(), None);
-    }
-
-    #[test]
-    fn known_values() {
-        let s: OnlineStats = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]
-            .into_iter()
-            .collect();
-        assert_eq!(s.mean(), 5.0);
-        assert_eq!(s.population_stddev(), 2.0);
-        assert!((s.coefficient_of_variation() - 0.4).abs() < 1e-12);
-        assert_eq!(s.min(), Some(2.0));
-        assert_eq!(s.max(), Some(9.0));
-        assert!((s.sample_variance() - 32.0 / 7.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn identical_values_have_zero_cov() {
-        let s: OnlineStats = std::iter::repeat_n(3.5, 16).collect();
-        assert!(s.coefficient_of_variation() < 1e-12);
-    }
-
-    #[test]
-    fn merge_matches_sequential() {
-        let xs = [1.0, 2.0, 3.0, 10.0, 20.0, 30.0];
-        let seq: OnlineStats = xs.into_iter().collect();
-        let a: OnlineStats = xs[..3].iter().copied().collect();
-        let mut b: OnlineStats = xs[3..].iter().copied().collect();
-        b.merge(&a);
-        assert!((b.mean() - seq.mean()).abs() < 1e-12);
-        assert!((b.population_variance() - seq.population_variance()).abs() < 1e-9);
-        assert_eq!(b.count(), seq.count());
-        assert_eq!(b.min(), seq.min());
-        assert_eq!(b.max(), seq.max());
-    }
-
-    #[test]
     fn latency_histogram_percentiles() {
         use crate::SimDuration;
         let mut h = LatencyHistogram::new();
@@ -402,41 +193,6 @@ mod tests {
         assert_eq!(merged.sum(), whole.sum());
     }
 
-    /// OnlineStats merge is associative enough for tree-shaped reduction:
-    /// (a ∪ b) ∪ c matches a ∪ (b ∪ c) and the sequential result.
-    #[test]
-    fn stats_merge_is_order_insensitive() {
-        let chunks: [&[f64]; 3] = [&[1.0, 5.0, 2.5], &[100.0], &[0.25, 0.5, 7.0, 9.0]];
-        let seq: OnlineStats = chunks.iter().flat_map(|c| c.iter().copied()).collect();
-        let [a, b, c]: [OnlineStats; 3] = chunks.map(|c| c.iter().copied().collect());
-        let mut left = a;
-        left.merge(&b);
-        left.merge(&c);
-        let mut bc = b;
-        bc.merge(&c);
-        let mut right = a;
-        right.merge(&bc);
-        for m in [&left, &right] {
-            assert_eq!(m.count(), seq.count());
-            assert!((m.mean() - seq.mean()).abs() < 1e-12);
-            assert!((m.population_variance() - seq.population_variance()).abs() < 1e-9);
-            assert_eq!(m.min(), seq.min());
-            assert_eq!(m.max(), seq.max());
-        }
-    }
-
-    /// Regression: `Default` must match `new()` — a derived `Default` gave
-    /// `min: 0.0 / max: 0.0`, so a default-constructed accumulator reported
-    /// min 0 for all-positive samples.
-    #[test]
-    fn default_matches_new() {
-        assert_eq!(OnlineStats::default(), OnlineStats::new());
-        let mut s = OnlineStats::default();
-        s.push(5.0);
-        assert_eq!(s.min(), Some(5.0));
-        assert_eq!(s.max(), Some(5.0));
-    }
-
     /// Regression: latencies ≥ 2^63 ns used to wrap to bucket 0 via `% 64`,
     /// corrupting percentiles. Every boundary value must land in a bucket
     /// whose upper bound covers it.
@@ -485,16 +241,5 @@ mod tests {
         }
         assert!(!one.is_empty());
         assert!(LatencyHistogram::new().is_empty());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a: OnlineStats = [1.0, 2.0].into_iter().collect();
-        let before = a;
-        a.merge(&OnlineStats::new());
-        assert_eq!(a, before);
-        let mut e = OnlineStats::new();
-        e.merge(&before);
-        assert_eq!(e, before);
     }
 }

@@ -785,15 +785,6 @@ impl TelemetryReport {
         self.events(EvKind::Gauge).count()
     }
 
-    /// Number of flow events recorded as `(starts, finishes)`.
-    #[must_use]
-    pub fn flow_counts(&self) -> (usize, usize) {
-        (
-            self.events(EvKind::FlowStart).count(),
-            self.events(EvKind::FlowFinish).count(),
-        )
-    }
-
     /// Display name of a trace process (a [`begin_run`] invocation).
     #[must_use]
     pub fn process_name(&self, pid: u32) -> Option<&str> {
@@ -835,17 +826,6 @@ impl TelemetryReport {
         self.events(EvKind::Span)
             .filter(|s| self.label(s.name) == name)
             .count()
-    }
-
-    /// Total duration of all spans recorded under `name`.
-    #[must_use]
-    pub fn span_total(&self, name: &str) -> SimDuration {
-        SimDuration::from_nanos(
-            self.events(EvKind::Span)
-                .filter(|s| self.label(s.name) == name)
-                .map(|s| s.val)
-                .sum(),
-        )
     }
 
     /// A recorded latency histogram, if any observation was made under
@@ -1163,6 +1143,23 @@ fn escape(s: &str) -> String {
 mod tests {
     use super::*;
 
+    /// Total nanoseconds of the spans recorded under `name`.
+    fn span_total(report: &TelemetryReport, name: &str) -> u64 {
+        report
+            .events(EvKind::Span)
+            .filter(|s| report.label(s.name) == name)
+            .map(|s| s.val)
+            .sum()
+    }
+
+    /// Flow events recorded, as `(starts, finishes)`.
+    fn flow_counts(report: &TelemetryReport) -> (usize, usize) {
+        (
+            report.events(EvKind::FlowStart).count(),
+            report.events(EvKind::FlowFinish).count(),
+        )
+    }
+
     #[test]
     fn disabled_by_default_records_nothing() {
         assert!(!enabled());
@@ -1204,7 +1201,7 @@ mod tests {
         assert!(!enabled());
         assert_eq!(report.counter("hits"), 5);
         assert_eq!(report.span_count("create"), 1);
-        assert_eq!(report.span_total("create"), SimDuration::from_nanos(2_000));
+        assert_eq!(span_total(&report, "create"), 2_000);
         assert_eq!(report.histogram("lat").unwrap().count(), 1);
     }
 
@@ -1300,7 +1297,7 @@ mod tests {
         m.merge(&b);
         assert_eq!(m.counter("c"), 3);
         assert_eq!(m.span_count("op"), 2);
-        assert_eq!(m.span_total("op"), SimDuration::from_nanos(30));
+        assert_eq!(span_total(&m, "op"), 30);
         assert_eq!(m.histogram("h").unwrap().count(), 2);
         // pids renumbered: the merged trace names two distinct processes
         let trace = m.to_chrome_trace_json();
@@ -1392,7 +1389,7 @@ mod tests {
         assert!(!a.contains(",]") && !a.contains(",}"));
         assert_eq!(a.matches('{').count(), a.matches('}').count());
         let report = run();
-        assert_eq!(report.flow_counts(), (1, 1));
+        assert_eq!(flow_counts(&report), (1, 1));
         assert_eq!(report.gauge_count(), 1);
         assert_eq!(report.track_name(1, server_tid(0)), Some("mds"));
     }
@@ -1470,7 +1467,7 @@ mod tests {
         assert_eq!(m.op_records()[0].id, 1);
         assert_eq!(m.op_records()[1].id, 2, "merged ids renumbered");
         assert_eq!(m.op_records()[1].pid, 2, "merged pids renumbered");
-        assert_eq!(m.flow_counts(), (1, 1));
+        assert_eq!(flow_counts(&m), (1, 1));
         // renumbered flow id matches the renumbered op id
         let trace = m.to_chrome_trace_json();
         assert!(trace.contains("\"ph\":\"s\",\"pid\":2,\"tid\":0,\"ts\":0.000,\"id\":2"));
