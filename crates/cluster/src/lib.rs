@@ -38,12 +38,9 @@ mod placement;
 mod simengine;
 mod threadengine;
 
-pub use parsim::{set_sim_threads, sim_threads, PartitionUnsupported, PartitionedFeature};
+pub use parsim::{set_sim_threads, sim_threads};
 pub use placement::{execution_plan, MpiWorld, Placement, RunSpec};
 pub use simengine::{
-    create_stream, run_sim, run_sim_checked, Disturbance, OpStream, SimConfig, SimRunResult,
-    WorkerSpec, WorkerTrace,
+    create_stream, run_sim, Disturbance, OpStream, SimConfig, SimRunResult, WorkerSpec, WorkerTrace,
 };
-pub use threadengine::{
-    ensure_parents, exec_op, hostname, run_threads, RealOpStream, ThreadRunConfig,
-};
+pub use threadengine::{hostname, run_threads, RealOpStream, ThreadRunConfig};

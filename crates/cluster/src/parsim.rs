@@ -7,9 +7,9 @@
 //! domains:
 //!
 //! * **Unpartitioned** — the default, and the path of every model that
-//!   declines [`DistFs::partition`]. One domain owns every server, CPU,
-//!   semaphore, background job, pause, model timer and disturbance, and a
-//!   plain `pop → dispatch` loop runs it until the last worker finishes.
+//!   declines [`DistFs::partition`]. One domain owns every server, CPU and
+//!   semaphore, and a plain `pop → dispatch` loop runs it until the last
+//!   worker finishes.
 //! * **Partitioned** — `--sim-threads` (or
 //!   [`pin_windowed_engine`](crate::SimConfig::pin_windowed_engine)) is set
 //!   and the model offers a domain decomposition ([`dfs::PartitionPlan`]):
@@ -43,17 +43,21 @@
 //!
 //! # Scope of partitioned runs
 //!
-//! Partitioned domains support the stage subset a partitionable model can
-//! express: `ClientCpu`, `NetDelay`, and `Server` (local or remote).
-//! Semaphores, background jobs, server pauses, model timers and
-//! disturbances all couple domains through non-network state; models using
-//! them must not offer a partition. When one sneaks through anyway the
-//! engine aborts the run with a structured [`PartitionUnsupported`] error
-//! naming the model, the offending feature, and the remedy (rerun without
-//! `--sim-threads`, unpartitioned) — surfaced as a `Result` through
-//! [`run_sim_checked`](crate::run_sim_checked).
+//! One ownership rule covers every feature: a domain may pause, load or
+//! queue only on servers it owns, and may run client work and CPU hogs only
+//! on nodes it owns. Whatever a domain owns just runs — the pauses and
+//! background jobs its replica plans, its replica's model timer, and the
+//! [`Disturbance`]s on its nodes and servers (each is scheduled only in its
+//! owner's domain). The one thing no domain can own is a semaphore, so a
+//! partitioned model may declare none. A broken rule is a model bug, and
+//! the run panics with a message naming the domain, the resource and the
+//! rule.
+//!
+//! A domain's periodic events (progress samples, model timers, load
+//! injections) stop once *its own* workers have finished, as the
+//! unpartitioned loop stops once every worker has; a partitioned domain
+//! cannot see whether other domains' workers still run.
 
-use std::panic::{catch_unwind, panic_any, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use dfs::{BackgroundJob, ClientCtx, DistFs, OpPlan, PartitionPlan, Stage};
@@ -89,65 +93,6 @@ pub fn sim_threads() -> Option<usize> {
         n => Some(n),
     }
 }
-
-/// A feature a partitioned run cannot execute: these all couple domains
-/// through non-network state, which would break the lookahead contract.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PartitionedFeature {
-    /// The model declares semaphore resources in [`dfs::FsResources`].
-    Semaphores,
-    /// A plan carried `AcquireSem`/`ReleaseSem` stages.
-    SemaphoreStages,
-    /// A plan carried server pauses or background jobs.
-    PausesOrBackground,
-    /// The run configuration injects disturbances.
-    Disturbances,
-    /// The model drives itself with timers (`first_timer()`).
-    ModelTimers,
-}
-
-impl PartitionedFeature {
-    fn describe(self) -> &'static str {
-        match self {
-            PartitionedFeature::Semaphores => "declares semaphore resources",
-            PartitionedFeature::SemaphoreStages => {
-                "planned AcquireSem/ReleaseSem stages (semaphores couple domains)"
-            }
-            PartitionedFeature::PausesOrBackground => "planned server pauses or background jobs",
-            PartitionedFeature::Disturbances => "the run configuration injects disturbances",
-            PartitionedFeature::ModelTimers => "drives itself with model timers",
-        }
-    }
-}
-
-/// Structured "this run cannot go parallel" error: the partitioned engine
-/// was selected (`--sim-threads`) and the model offered a partition, but
-/// the run uses a feature only an unpartitioned run supports.
-///
-/// The display form names the model and the feature and ends with the
-/// remedy, so a scenario failure or CLI error is self-explanatory.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PartitionUnsupported {
-    /// `DistFs::name()` of the offending model.
-    pub model: String,
-    /// Which restriction fired.
-    pub feature: PartitionedFeature,
-}
-
-impl std::fmt::Display for PartitionUnsupported {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "partitioned run of model '{}' is unsupported: {}; \
-             rerun without --sim-threads to run the model unpartitioned, as one domain \
-             (which supports every feature)",
-            self.model,
-            self.feature.describe()
-        )
-    }
-}
-
-impl std::error::Error for PartitionUnsupported {}
 
 /// Derive domain `d`'s RNG purely from the run seed — no draws from a
 /// parent stream, so the derivation is identical at every thread count.
@@ -348,9 +293,6 @@ struct WState {
 
 struct Domain<'run> {
     idx: usize,
-    /// Whether this domain has peers: a partitioned domain refuses the
-    /// features that couple domains through non-network state.
-    partitioned: bool,
     model: &'run mut dyn DistFs,
     sched: Scheduler<Ev>,
     /// FIFO stations indexed by *global* server id (`Some` iff owned).
@@ -382,23 +324,22 @@ struct Domain<'run> {
 
 impl Domain<'_> {
     fn server(&mut self, server: usize) -> &mut FifoResource {
-        self.servers[server]
-            .as_mut()
-            .expect("server owned by this domain")
+        let idx = self.idx;
+        self.servers[server].as_mut().unwrap_or_else(|| {
+            panic!(
+                "domain {idx} used server {server}, which it does not own: a domain \
+                 may pause, load or queue only on servers it owns"
+            )
+        })
     }
 
     fn cpu(&mut self, node: usize) -> &mut PsResource {
-        self.cpus[node].as_mut().expect("CPU owned by this domain")
-    }
-
-    /// Abort a partitioned run that reached a feature coupling domains: a
-    /// typed panic that unwinds through the window runtime (which rethrows
-    /// the original payload) and is downcast back to a structured error at
-    /// the [`run`] boundary.
-    fn refuse(&self, feature: PartitionedFeature) -> ! {
-        panic_any(PartitionUnsupported {
-            model: self.model.name().to_owned(),
-            feature,
+        let idx = self.idx;
+        self.cpus[node].as_mut().unwrap_or_else(|| {
+            panic!(
+                "domain {idx} used the CPU of node {node}, which it does not own: a \
+                 domain may run client work and hogs only on nodes it owns"
+            )
         })
     }
 
@@ -533,9 +474,6 @@ impl Domain<'_> {
             }
         }
         let (pauses, background) = (st.plan.pauses.len(), st.plan.background.len());
-        if self.partitioned && pauses + background > 0 {
-            self.refuse(PartitionedFeature::PausesOrBackground);
-        }
         for i in 0..pauses {
             let (server, dur) = self.states[w].plan.pauses[i];
             self.apply_pause(server.0, dur, now, "consistency-point");
@@ -726,9 +664,6 @@ impl Domain<'_> {
                     return;
                 }
                 Stage::AcquireSem { sem } => {
-                    if self.partitioned {
-                        self.refuse(PartitionedFeature::SemaphoreStages);
-                    }
                     if self.sems[sem.0].acquire(job) {
                         self.states[w].stage += 1;
                         continue;
@@ -739,9 +674,6 @@ impl Domain<'_> {
                     return; // resumed by a ReleaseSem / background release
                 }
                 Stage::ReleaseSem { sem } => {
-                    if self.partitioned {
-                        self.refuse(PartitionedFeature::SemaphoreStages);
-                    }
                     self.release_sem(sem.0, now);
                     self.states[w].stage += 1;
                     continue;
@@ -969,9 +901,10 @@ impl Domain<'_> {
     }
 
     /// Schedule the run's opening events: the partitioned kick-off, the
-    /// disturbances, the model's first timer and the first progress sample.
-    fn prime(&mut self) {
-        if self.partitioned {
+    /// disturbances on nodes and servers this domain owns, the model's first
+    /// timer and the first progress sample.
+    fn prime(&mut self, partitioned: bool) {
+        if partitioned {
             self.sched.schedule_at(SimTime::ZERO, Ev::Kick);
         }
         for (idx, d) in self.disturbances.iter().enumerate() {
@@ -981,18 +914,19 @@ impl Domain<'_> {
                     start,
                     end,
                     weight,
-                } => {
+                } if self.cpus[node].is_some() => {
                     let job = JobId(HOG_BASE + idx as u64);
                     self.sched
                         .schedule_at(start, Ev::HogStart { node, job, weight });
                     self.sched.schedule_at(end, Ev::HogEnd { node, job });
                 }
-                Disturbance::ServerPause { at, .. } => {
+                Disturbance::ServerPause { server, at, .. } if self.servers[server].is_some() => {
                     self.sched.schedule_at(at, Ev::LoadTick { idx });
                 }
-                Disturbance::ServerLoad { start, .. } => {
+                Disturbance::ServerLoad { server, start, .. } if self.servers[server].is_some() => {
                     self.sched.schedule_at(start, Ev::LoadTick { idx });
                 }
+                _ => {}
             }
         }
         if let Some(t) = self.model.first_timer() {
@@ -1023,10 +957,10 @@ impl Domain<'_> {
     /// Run `f` with this domain's telemetry capture installed on the
     /// current thread (straight through when the domain has none).
     ///
-    /// Restores the caller's capture even if `f` unwinds — a
-    /// [`PartitionUnsupported`] panic travels through here, and leaking the
-    /// domain capture onto the thread would corrupt the caller's telemetry
-    /// on the error path (the domain's partial capture is discarded).
+    /// Restores the caller's capture even if `f` unwinds — a model panic
+    /// travels through here, and leaking the domain capture onto the thread
+    /// would corrupt the caller's telemetry on the error path (the domain's
+    /// partial capture is discarded).
     fn with_capture<R>(&mut self, f: impl FnOnce(&mut Self) -> R) -> R {
         match self.cap.take() {
             Some(cap) => {
@@ -1097,19 +1031,14 @@ impl WindowDomain for Domain<'_> {
 /// windowed engine, whose results are bit-identical for every `threads`
 /// value.
 ///
-/// # Errors
-///
-/// [`PartitionUnsupported`] when a partitioned run meets a restricted
-/// feature: disturbances, model timers or declared semaphores up front, or
-/// semaphore stages, pauses or background jobs in a plan at runtime.
-///
 /// # Panics
 ///
 /// Panics if `workers` and `streams` lengths differ, if a worker references
 /// a node outside `node_names`, if the model's plans reference undeclared
 /// resources, on malformed partition plans (domain indices out of range,
-/// wrong table lengths), on models that violate the lookahead contract, and
-/// on deadlock (a worker that never finishes).
+/// wrong table lengths, declared semaphores), on models that break the
+/// ownership rule or the lookahead contract, and on deadlock (a worker that
+/// never finishes).
 pub(crate) fn run(
     model: &mut dyn DistFs,
     partition: Option<(PartitionPlan, usize)>,
@@ -1117,30 +1046,13 @@ pub(crate) fn run(
     workers: Vec<WorkerSpec>,
     streams: Vec<Box<dyn OpStream>>,
     config: &SimConfig,
-) -> Result<SimRunResult, PartitionUnsupported> {
+) -> SimRunResult {
     assert_eq!(workers.len(), streams.len(), "one stream per worker");
     let nodes = node_names.len();
     for w in &workers {
         assert!(w.node < nodes, "worker on unknown node {}", w.node);
     }
     let fs_name = model.name().to_owned();
-    let unsupported = |feature| {
-        Err(PartitionUnsupported {
-            model: fs_name.clone(),
-            feature,
-        })
-    };
-    if partition.is_some() {
-        // config-level restrictions are hard errors rather than a silent
-        // fallback, so a `--sim-threads` run never quietly loses its
-        // parallelism
-        if !config.disturbances.is_empty() {
-            return unsupported(PartitionedFeature::Disturbances);
-        }
-        if model.first_timer().is_some() {
-            return unsupported(PartitionedFeature::ModelTimers);
-        }
-    }
     model.register_clients(nodes);
     let resources = model.resources();
 
@@ -1154,9 +1066,11 @@ pub(crate) fn run(
                 plan.lookahead > SimDuration::ZERO,
                 "a partition needs a positive lookahead"
             );
-            if !resources.semaphores.is_empty() {
-                return unsupported(PartitionedFeature::Semaphores);
-            }
+            assert!(
+                resources.semaphores.is_empty(),
+                "partitioned model '{fs_name}' declares semaphores: no domain can \
+                 own a semaphore, so a partitioned model may declare none"
+            );
             assert_eq!(
                 plan.server_domain.len(),
                 resources.servers.len(),
@@ -1227,7 +1141,6 @@ pub(crate) fn run(
     for (d, (model, local_streams)) in models.into_iter().zip(domain_streams).enumerate() {
         let mut dom = Domain {
             idx: d,
-            partitioned,
             model,
             sched: Scheduler::new(),
             servers: server_domain
@@ -1322,27 +1235,14 @@ pub(crate) fn run(
                 telemetry::name_track(dom.pid, telemetry::ENGINE_TID, "engine");
             }
         });
-        dom.prime();
+        dom.prime(partitioned);
         doms.push(dom);
     }
 
     match windows {
         None => doms[0].run_alone(),
         Some((lookahead, threads)) => {
-            // A restricted feature discovered mid-run unwinds out of the
-            // window runtime as a typed panic; downcast it back into the
-            // structured error here so callers see a Result, not a panic.
-            // Anything else (model bugs, lookahead violations) keeps
-            // unwinding.
-            let stats = match catch_unwind(AssertUnwindSafe(|| {
-                par::run_conservative(&mut doms, lookahead, threads)
-            })) {
-                Ok(stats) => stats,
-                Err(payload) => match payload.downcast::<PartitionUnsupported>() {
-                    Ok(err) => return Err(*err),
-                    Err(payload) => resume_unwind(payload),
-                },
-            };
+            let stats = par::run_conservative(&mut doms, lookahead, threads);
             // fold per-domain telemetry back into the caller's capture, in
             // canonical domain order
             for dom in &mut doms {
@@ -1381,7 +1281,7 @@ pub(crate) fn run(
             });
         }
     }
-    Ok(SimRunResult {
+    SimRunResult {
         fs_name,
         interval: config.sample_interval,
         workers: traces
@@ -1389,5 +1289,5 @@ pub(crate) fn run(
             .map(|t| t.expect("every worker produced a trace"))
             .collect(),
         wall_time,
-    })
+    }
 }

@@ -253,43 +253,18 @@ pub(crate) fn op_label(op: &MetaOp) -> &'static str {
 /// [`pin_windowed_engine`](SimConfig::pin_windowed_engine)) *and* the model
 /// offers a [`dfs::PartitionPlan`], the run executes as one domain per
 /// partition on the conservative windowed engine — whose results are
-/// bit-identical at every thread count. Every other run (including all
-/// models that keep the default `partition() == None`) executes
-/// unpartitioned, as one domain that owns every resource, disturbance and
-/// timer.
-///
-/// This is the fallible form: a partitioned run combined with a feature
-/// that couples domains (semaphores, pauses, background jobs, disturbances,
-/// model timers) returns a structured
-/// [`PartitionUnsupported`](crate::PartitionUnsupported) instead of
-/// asserting deep inside the engine. [`run_sim`] panics with the same
-/// message for callers that cannot recover.
-///
-/// # Errors
-///
-/// [`PartitionUnsupported`](crate::PartitionUnsupported) as above — only
-/// possible when `--sim-threads` is set *and* the model partitions.
+/// bit-identical at every thread count. Each domain runs the pauses,
+/// background jobs, model timer and disturbances on the servers and nodes
+/// it owns. Every other run (including all models that keep the default
+/// `partition() == None`) executes unpartitioned, as one domain that owns
+/// every resource, disturbance and timer.
 ///
 /// # Panics
 ///
 /// Panics if `workers` and `streams` lengths differ, if a worker references
-/// a node outside `node_names`, or if the model's plans reference undeclared
-/// resources.
-pub fn run_sim_checked(
-    model: &mut dyn DistFs,
-    node_names: &[String],
-    workers: Vec<WorkerSpec>,
-    streams: Vec<Box<dyn OpStream>>,
-    config: &SimConfig,
-) -> Result<SimRunResult, crate::parsim::PartitionUnsupported> {
-    let threads = crate::sim_threads().or_else(|| config.pin_windowed_engine.then_some(1));
-    let partition = threads.and_then(|t| Some((model.partition(node_names.len())?, t)));
-    crate::parsim::run(model, partition, node_names, workers, streams, config)
-}
-
-/// Infallible [`run_sim_checked`]: unsupported-feature errors become a
-/// panic carrying the structured error (the suite runner downcasts it back
-/// to show the scenario name plus the full message).
+/// a node outside `node_names`, if the model's plans reference undeclared
+/// resources, or if a partitioned model declares semaphores or uses a
+/// server or node its domain does not own.
 pub fn run_sim(
     model: &mut dyn DistFs,
     node_names: &[String],
@@ -297,8 +272,9 @@ pub fn run_sim(
     streams: Vec<Box<dyn OpStream>>,
     config: &SimConfig,
 ) -> SimRunResult {
-    run_sim_checked(model, node_names, workers, streams, config)
-        .unwrap_or_else(|e| std::panic::panic_any(e))
+    let threads = crate::sim_threads().or_else(|| config.pin_windowed_engine.then_some(1));
+    let partition = threads.and_then(|t| Some((model.partition(node_names.len())?, t)));
+    crate::parsim::run(model, partition, node_names, workers, streams, config)
 }
 
 /// Convenience: a fixed-problem-size stream of file creations under

@@ -11,66 +11,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
-use dfs::MetaOp;
-use memfs::{FsResult, OpenFlags, Vfs};
+use dfs::{ensure_parents, exec_op, MetaOp};
+use memfs::Vfs;
 use simcore::{telemetry, SimDuration, SimTime};
 
 use crate::simengine::{SimRunResult, WorkerTrace};
-
-/// Execute one [`MetaOp`] through a [`Vfs`].
-///
-/// # Errors
-///
-/// Propagates the underlying file-system error.
-pub fn exec_op(vfs: &mut dyn Vfs, op: &MetaOp) -> FsResult<()> {
-    match op {
-        MetaOp::Create { path, data_bytes } => {
-            let fd = vfs.create(path)?;
-            if *data_bytes > 0 {
-                vfs.write(fd, &vec![0u8; *data_bytes as usize])?;
-            }
-            vfs.close(fd)
-        }
-        MetaOp::Mkdir { path } => vfs.mkdir(path),
-        MetaOp::Unlink { path } => vfs.unlink(path),
-        MetaOp::Rmdir { path } => vfs.rmdir(path),
-        MetaOp::Stat { path } => vfs.stat(path).map(|_| ()),
-        MetaOp::OpenClose { path } => {
-            let fd = vfs.open(path, OpenFlags::read_only())?;
-            vfs.close(fd)
-        }
-        MetaOp::Readdir { path } => vfs.readdir(path).map(|_| ()),
-        MetaOp::Rename { from, to } => vfs.rename(from, to),
-        MetaOp::Link { existing, new } => vfs.link(existing, new),
-        MetaOp::Symlink { target, linkpath } => vfs.symlink(target, linkpath),
-        MetaOp::Chmod { path, mode } => vfs.chmod(path, *mode),
-        MetaOp::Utimes {
-            path,
-            atime_ns,
-            mtime_ns,
-        } => vfs.utimes(path, *atime_ns, *mtime_ns),
-    }
-}
-
-/// Create every missing ancestor directory of `path`.
-///
-/// # Errors
-///
-/// Propagates errors other than [`memfs::FsError::Exists`].
-pub fn ensure_parents(vfs: &mut dyn Vfs, path: &str) -> FsResult<()> {
-    let p = memfs::FsPath::parse(path)?;
-    let comps = p.components();
-    let mut cur = String::new();
-    for c in comps.iter().take(comps.len().saturating_sub(1)) {
-        cur.push('/');
-        cur.push_str(c);
-        match vfs.mkdir(&cur) {
-            Ok(()) | Err(memfs::FsError::Exists) => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(())
-}
 
 /// Configuration of a real-time run.
 #[derive(Debug, Clone)]
@@ -281,67 +226,8 @@ pub fn hostname() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use memfs::MemFs;
+    use memfs::{MemFs, OpenFlags};
     use parking_lot::Mutex;
-
-    #[test]
-    fn exec_op_covers_all_variants() {
-        let mut fs = MemFs::new();
-        let ops = [
-            MetaOp::Mkdir { path: "/d".into() },
-            MetaOp::Create {
-                path: "/d/f".into(),
-                data_bytes: 10,
-            },
-            MetaOp::Stat {
-                path: "/d/f".into(),
-            },
-            MetaOp::OpenClose {
-                path: "/d/f".into(),
-            },
-            MetaOp::Readdir { path: "/d".into() },
-            MetaOp::Chmod {
-                path: "/d/f".into(),
-                mode: 0o600,
-            },
-            MetaOp::Utimes {
-                path: "/d/f".into(),
-                atime_ns: 1,
-                mtime_ns: 2,
-            },
-            MetaOp::Link {
-                existing: "/d/f".into(),
-                new: "/d/hard".into(),
-            },
-            MetaOp::Symlink {
-                target: "/d/f".into(),
-                linkpath: "/d/sym".into(),
-            },
-            MetaOp::Rename {
-                from: "/d/hard".into(),
-                to: "/d/renamed".into(),
-            },
-            MetaOp::Unlink {
-                path: "/d/renamed".into(),
-            },
-            MetaOp::Rmdir { path: "/d2".into() },
-        ];
-        // need /d2 for the rmdir
-        fs.mkdir("/d2").unwrap();
-        for op in &ops {
-            exec_op(&mut fs, op).unwrap_or_else(|e| panic!("{op:?}: {e}"));
-        }
-        assert_eq!(fs.stat("/d/f").unwrap().size, 10);
-    }
-
-    #[test]
-    fn ensure_parents_builds_chain() {
-        let mut fs = MemFs::new();
-        ensure_parents(&mut fs, "/a/b/c/file").unwrap();
-        assert!(fs.stat("/a/b/c").unwrap().is_dir());
-        // idempotent
-        ensure_parents(&mut fs, "/a/b/c/file").unwrap();
-    }
 
     #[test]
     fn threaded_run_on_shared_memfs() {

@@ -442,20 +442,6 @@ fn model_factory(
     })
 }
 
-/// Convert the engine's structured [`cluster::PartitionUnsupported`] error
-/// (thrown as a typed panic by `run_sim`) into the CLI's normal `error: ...`
-/// channel, so a `--sim-threads` run that hits an unsupported feature exits
-/// cleanly with the model name and the rerun hint instead of dumping a panic
-/// backtrace. Any other panic keeps unwinding.
-fn surface_partition_errors<T>(f: impl FnOnce() -> T) -> Result<T, String> {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).map_err(|e| {
-        match e.downcast::<cluster::PartitionUnsupported>() {
-            Ok(p) => p.to_string(),
-            Err(other) => std::panic::resume_unwind(other),
-        }
-    })
-}
-
 fn main_cmd(cli: MainCli) -> Result<ExitCode, String> {
     if cli.list_operations {
         for name in all_plugin_names() {
@@ -486,9 +472,7 @@ fn main_cmd(cli: MainCli) -> Result<ExitCode, String> {
                     "simulated world: {} nodes x {} slots, model '{}', master rank {}",
                     cli.nodes, cli.slots_per_node, cli.fs, placement.master_rank
                 );
-                surface_partition_errors(|| {
-                    Runner::new(params).run_simulated(&placement, factory, &SimConfig::default())
-                })
+                Ok(Runner::new(params).run_simulated(&placement, factory, &SimConfig::default()))
             }
             "real" => {
                 if cli.faults.is_some() {

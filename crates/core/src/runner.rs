@@ -290,8 +290,8 @@ impl Runner {
                 for ctx in &ctxs {
                     let mut vfs = vfs_factory(ctx.index);
                     for op in plugin.prepare_ops(ctx) {
-                        let _ = cluster::ensure_parents(vfs.as_mut(), op.primary_path());
-                        let _ = cluster::exec_op(vfs.as_mut(), &op);
+                        let _ = dfs::ensure_parents(vfs.as_mut(), op.primary_path());
+                        let _ = dfs::exec_op(vfs.as_mut(), &op);
                     }
                     if plugin.drop_caches_after_prepare() {
                         let _ = vfs.drop_caches();
@@ -318,7 +318,7 @@ impl Runner {
                 for (ctx, trace) in ctxs.iter().zip(&run.workers) {
                     let mut vfs = vfs_factory(ctx.index);
                     for op in plugin.cleanup_ops(ctx, trace.ops_done) {
-                        let _ = cluster::exec_op(vfs.as_mut(), &op);
+                        let _ = dfs::exec_op(vfs.as_mut(), &op);
                     }
                 }
                 let rs = ResultSet::from_run(plugin.name(), 1, ppn, &run);

@@ -41,9 +41,9 @@ fn harness_loop() -> f64 {
     for i in 0..N {
         let op = stream(i).expect("timed stream never ends");
         if i == 0 {
-            cluster::ensure_parents(&mut fs, op.primary_path()).expect("mkdir chain");
+            dfs::ensure_parents(&mut fs, op.primary_path()).expect("mkdir chain");
         }
-        cluster::exec_op(&mut fs, &op).expect("unique names");
+        dfs::exec_op(&mut fs, &op).expect("unique names");
     }
     t0.elapsed().as_secs_f64()
 }

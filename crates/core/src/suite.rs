@@ -18,8 +18,6 @@
 use serde::{Deserialize, Serialize};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
 pub use crate::scenarios::registry;
@@ -362,10 +360,6 @@ fn run_scenario_inner(scenario: &'static Scenario, traced: bool) -> ScenarioRunR
                 s.clone()
             } else if let Some(s) = e.downcast_ref::<&str>() {
                 (*s).to_owned()
-            } else if let Some(p) = e.downcast_ref::<cluster::PartitionUnsupported>() {
-                // structured engine error: the failure line already names
-                // the scenario; the message adds model, feature and remedy
-                format!("scenario '{}': {p}", scenario.id)
             } else {
                 "scenario panicked".to_owned()
             }
@@ -473,35 +467,17 @@ fn run_suite_inner(
     assert!(seen.iter().all(|&b| b), "order must cover every scenario");
 
     let t0 = Instant::now();
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<ScenarioRunResult>>> =
-        scenarios.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..jobs.clamp(1, scenarios.len().max(1)) {
-            scope.spawn(|| {
-                loop {
-                    let k = next.fetch_add(1, Ordering::SeqCst);
-                    if k >= order.len() {
-                        break;
-                    }
-                    let idx = order[k];
-                    let result = run_scenario_inner(scenarios[idx], traced);
-                    *slots[idx].lock().expect("slot lock") = Some(result);
-                }
-                // the scope's implicit join can return before this thread's
-                // profile buffer folds in on exit
-                simcore::prof::flush();
-            });
-        }
+    let claimed = simcore::par::run_independent(order.len(), jobs, |k| {
+        run_scenario_inner(scenarios[order[k]], traced)
     });
+    let mut slots: Vec<Option<ScenarioRunResult>> = scenarios.iter().map(|_| None).collect();
+    for (&idx, result) in order.iter().zip(claimed) {
+        slots[idx] = Some(result);
+    }
     SuiteRun {
         results: slots
             .into_iter()
-            .map(|m| {
-                m.into_inner()
-                    .expect("slot lock")
-                    .expect("every slot filled")
-            })
+            .map(|r| r.expect("every slot filled"))
             .collect(),
         wall_secs: t0.elapsed().as_secs_f64(),
     }

@@ -345,13 +345,13 @@ mod tests {
         let ctx = crate::params::WorkerCtx::build(&[(0, 0)], &params, 1).remove(0);
         let mut fs = memfs::MemFs::new();
         // make $W and the unrelated /e directory exist
-        cluster::ensure_parents(&mut fs, &format!("{}/x", ctx.workdir)).unwrap();
+        dfs::ensure_parents(&mut fs, &format!("{}/x", ctx.workdir)).unwrap();
         use memfs::Vfs;
         fs.mkdir(&format!("{}/e", ctx.workdir)).unwrap();
         let mut s = trace.stream(&ctx);
         let mut i = 0;
         while let Some(op) = s(i) {
-            cluster::exec_op(&mut fs, &op).unwrap_or_else(|e| panic!("{op:?}: {e}"));
+            dfs::exec_op(&mut fs, &op).unwrap_or_else(|e| panic!("{op:?}: {e}"));
             i += 1;
         }
         assert!(fs.check().is_empty(), "{:?}", fs.check());

@@ -96,52 +96,58 @@ pub fn apply_meta_op(fs: &mut MemFs, op: &MetaOp) -> FsResult<OpCost> {
         ensure_parents(fs, from)?;
     }
     fs.take_cost(); // discard preparation cost
+    exec_op(fs, op)?;
+    Ok(fs.take_cost())
+}
+
+/// Execute one [`MetaOp`] through a [`Vfs`].
+///
+/// # Errors
+///
+/// Propagates the underlying file-system error.
+pub fn exec_op<V: Vfs + ?Sized>(vfs: &mut V, op: &MetaOp) -> FsResult<()> {
     match op {
         MetaOp::Create { path, data_bytes } => {
-            let fd = fs.create(path)?;
+            let fd = vfs.create(path)?;
             if *data_bytes > 0 {
-                fs.write(fd, &vec![0u8; *data_bytes as usize])?;
+                vfs.write(fd, &vec![0u8; *data_bytes as usize])?;
             }
-            fs.close(fd)?;
+            vfs.close(fd)
         }
-        MetaOp::Mkdir { path } => fs.mkdir(path)?,
-        MetaOp::Unlink { path } => fs.unlink(path)?,
-        MetaOp::Rmdir { path } => fs.rmdir(path)?,
-        MetaOp::Stat { path } => {
-            fs.stat(path)?;
-        }
+        MetaOp::Mkdir { path } => vfs.mkdir(path),
+        MetaOp::Unlink { path } => vfs.unlink(path),
+        MetaOp::Rmdir { path } => vfs.rmdir(path),
+        MetaOp::Stat { path } => vfs.stat(path).map(|_| ()),
         MetaOp::OpenClose { path } => {
-            let fd = fs.open(path, OpenFlags::read_only())?;
-            fs.close(fd)?;
+            let fd = vfs.open(path, OpenFlags::read_only())?;
+            vfs.close(fd)
         }
-        MetaOp::Readdir { path } => {
-            fs.readdir(path)?;
-        }
-        MetaOp::Rename { from, to } => fs.rename(from, to)?,
-        MetaOp::Link { existing, new } => fs.link(existing, new)?,
-        MetaOp::Symlink { target, linkpath } => fs.symlink(target, linkpath)?,
-        MetaOp::Chmod { path, mode } => fs.chmod(path, *mode)?,
+        MetaOp::Readdir { path } => vfs.readdir(path).map(|_| ()),
+        MetaOp::Rename { from, to } => vfs.rename(from, to),
+        MetaOp::Link { existing, new } => vfs.link(existing, new),
+        MetaOp::Symlink { target, linkpath } => vfs.symlink(target, linkpath),
+        MetaOp::Chmod { path, mode } => vfs.chmod(path, *mode),
         MetaOp::Utimes {
             path,
             atime_ns,
             mtime_ns,
-        } => fs.utimes(path, *atime_ns, *mtime_ns)?,
+        } => vfs.utimes(path, *atime_ns, *mtime_ns),
     }
-    Ok(fs.take_cost())
 }
 
-/// Create all ancestor directories of `path` that do not exist yet.
-fn ensure_parents(fs: &mut MemFs, path: &str) -> FsResult<()> {
+/// Create every missing ancestor directory of `path`.
+///
+/// # Errors
+///
+/// Propagates errors other than [`memfs::FsError::Exists`].
+pub fn ensure_parents<V: Vfs + ?Sized>(vfs: &mut V, path: &str) -> FsResult<()> {
     let p = memfs::FsPath::parse(path)?;
     let comps = p.components();
-    if comps.len() <= 1 {
-        return Ok(());
-    }
     let mut cur = String::new();
-    for c in &comps[..comps.len() - 1] {
+    for c in comps.iter().take(comps.len().saturating_sub(1)) {
         cur.push('/');
         cur.push_str(c);
-        match fs.mkdir(&cur) {
+        match vfs.mkdir(&cur) {
             Ok(()) | Err(memfs::FsError::Exists) => {}
             Err(e) => return Err(e),
         }
@@ -275,5 +281,64 @@ mod tests {
             apply_meta_op(&mut fs, &op).unwrap_err(),
             memfs::FsError::Exists
         );
+    }
+
+    #[test]
+    fn exec_op_covers_all_variants() {
+        let mut fs = MemFs::new();
+        let ops = [
+            MetaOp::Mkdir { path: "/d".into() },
+            MetaOp::Create {
+                path: "/d/f".into(),
+                data_bytes: 10,
+            },
+            MetaOp::Stat {
+                path: "/d/f".into(),
+            },
+            MetaOp::OpenClose {
+                path: "/d/f".into(),
+            },
+            MetaOp::Readdir { path: "/d".into() },
+            MetaOp::Chmod {
+                path: "/d/f".into(),
+                mode: 0o600,
+            },
+            MetaOp::Utimes {
+                path: "/d/f".into(),
+                atime_ns: 1,
+                mtime_ns: 2,
+            },
+            MetaOp::Link {
+                existing: "/d/f".into(),
+                new: "/d/hard".into(),
+            },
+            MetaOp::Symlink {
+                target: "/d/f".into(),
+                linkpath: "/d/sym".into(),
+            },
+            MetaOp::Rename {
+                from: "/d/hard".into(),
+                to: "/d/renamed".into(),
+            },
+            MetaOp::Unlink {
+                path: "/d/renamed".into(),
+            },
+            MetaOp::Rmdir { path: "/d2".into() },
+        ];
+        // need /d2 for the rmdir
+        fs.mkdir("/d2").unwrap();
+        for op in &ops {
+            exec_op(&mut fs, op).unwrap_or_else(|e| panic!("{op:?}: {e}"));
+        }
+        assert_eq!(fs.stat("/d/f").unwrap().size, 10);
+    }
+
+    #[test]
+    fn ensure_parents_builds_chain() {
+        let mut fs = MemFs::new();
+        ensure_parents(&mut fs, "/a/b/c/file").unwrap();
+        assert!(fs.stat("/a/b/c").unwrap().is_dir());
+        // idempotent
+        ensure_parents(&mut fs, "/a/b/c/file").unwrap();
     }
 }

@@ -57,7 +57,7 @@ mod shardmds;
 
 pub use afs::{AfsConfig, AfsFs, AfsVolume, AFS_VLDB};
 pub use cache::{AttrCache, CacheStats, CallbackCache};
-pub use costmodel::{apply_meta_op, ServiceCostModel};
+pub use costmodel::{apply_meta_op, ensure_parents, exec_op, ServiceCostModel};
 pub use cxfs::{CxfsConfig, CxfsFs, CXFS_MDS};
 pub use localfs::{LocalConfig, LocalFs, LOCAL_KERNEL};
 pub use lustre::{LustreConfig, LustreFs, LUSTRE_COMMIT, LUSTRE_MDS};

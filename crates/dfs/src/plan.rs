@@ -226,10 +226,17 @@ pub struct TimerAction {
 ///
 /// Returned by [`DistFs::partition`] when (and only when) the model's
 /// servers and client state split into groups that interact **solely
-/// through the network** — no shared semaphores, no shared caches, no
-/// global timers. The cluster engine then runs one scheduler per domain in
-/// synchronized lookahead windows (`simcore::par`), with cross-domain RPCs
-/// carried by mailbox messages.
+/// through the network** — no semaphores, no shared caches. The cluster
+/// engine then runs one scheduler per domain in synchronized lookahead
+/// windows (`simcore::par`), with cross-domain RPCs carried by mailbox
+/// messages.
+///
+/// The contract is one ownership rule: a domain's replica may pause, load
+/// or queue background jobs only on servers of its own domain, and its
+/// [`DistFs::on_timer`] may pause only those; each replica's timer runs in
+/// its own domain. Injected disturbances run in the domain that owns their
+/// node or server. A replica that breaks the rule, or a partitioned model
+/// that declares semaphores, panics the run.
 ///
 /// The decomposition is a property of the *model*, never of the host: the
 /// same plan is used at every `--sim-threads` value (including 1), which is
@@ -343,7 +350,8 @@ pub trait DistFs: Send {
     ///
     /// `nodes` is the client-node count of the run. Models whose state
     /// genuinely splits (independent server groups, per-node client state,
-    /// no cross-domain semaphores) return a [`PartitionPlan`]; the default
+    /// no semaphores, pauses and background jobs only on a domain's own
+    /// servers) return a [`PartitionPlan`]; the default
     /// `None` runs the model unpartitioned, as one domain, at any
     /// `--sim-threads` value, which is always correct. The five paper
     /// models share a central MDS/filer (every client talks to every

@@ -7,17 +7,23 @@
 //!
 //! Uses a self-contained partitionable model (four servers, round-robin
 //! per-client targeting) so most RPCs cross domains and exercise the
-//! request/reply mailbox protocol, not just the local fast path.
+//! request/reply mailbox protocol, not just the local fast path. The model
+//! also plans pauses and background jobs on its own servers and drives a
+//! consistency-point timer per replica, and the matrix reruns it under a
+//! CPU hog and a competing server load: every domain-local feature runs on
+//! the domain that owns its server or node.
 
-use cluster::{run_sim, set_sim_threads, SimConfig, WorkerSpec};
+use cluster::{run_sim, set_sim_threads, Disturbance, SimConfig, WorkerSpec};
 use dfs::{
-    ClientCtx, DistFs, FsResources, MetaOp, OpPlan, PartitionPlan, ReshardAction, ReshardEvent,
-    ServerId, ServerSpec, ShardMds, ShardMdsConfig, ShardPlacement, Stage,
+    BackgroundJob, ClientCtx, DistFs, FsResources, MetaOp, OpPlan, PartitionPlan, ReshardAction,
+    ReshardEvent, ServerId, ServerSpec, ShardMds, ShardMdsConfig, ShardPlacement, Stage,
+    TimerAction,
 };
 use memfs::FsResult;
 use simcore::{telemetry, DetRng, SimDuration, SimTime};
 
-/// `set_sim_threads` is process-global; both matrix tests toggle it.
+/// `set_sim_threads` is process-global; every test that runs the engine
+/// toggles it.
 static KNOB: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 const SERVERS: usize = 4;
@@ -28,15 +34,20 @@ const OPS_PER_WORKER: u64 = 60;
 /// A partitionable toy model: every op is `ClientCpu → NetDelay → Server →
 /// NetDelay`, with the server a pure function of `(node, proc, op index)` —
 /// so a domain replica plans identically to the unsplit model for its own
-/// clients, and three quarters of all RPCs target a remote domain.
+/// clients, and three quarters of all RPCs target a remote domain. Creates
+/// queue a write-back on an owned server, every seventh op of a worker
+/// pauses one, and the timer pauses every owned server each millisecond.
 struct RoundRobinFs {
     calls: std::collections::HashMap<(usize, usize), u64>,
+    /// Servers this replica owns (all of them in the unsplit model).
+    owned: Vec<usize>,
 }
 
 impl RoundRobinFs {
     fn new() -> Self {
         RoundRobinFs {
             calls: std::collections::HashMap::new(),
+            owned: (0..SERVERS).collect(),
         }
     }
 }
@@ -56,6 +67,21 @@ impl DistFs for RoundRobinFs {
 
     fn register_clients(&mut self, _nodes: usize) {}
 
+    fn first_timer(&self) -> Option<SimTime> {
+        Some(SimTime::from_micros(500))
+    }
+
+    fn on_timer(&mut self, now: SimTime) -> TimerAction {
+        TimerAction {
+            next: Some(now + SimDuration::from_millis(1)),
+            pauses: self
+                .owned
+                .iter()
+                .map(|&s| (ServerId(s), SimDuration::from_micros(20)))
+                .collect(),
+        }
+    }
+
     fn partition(&self, nodes: usize) -> Option<PartitionPlan> {
         let domains = SERVERS.min(nodes);
         if domains < 2 {
@@ -65,7 +91,12 @@ impl DistFs for RoundRobinFs {
             server_domain: (0..SERVERS).map(|s| s % domains).collect(),
             node_domain: (0..nodes).map(|n| n % domains).collect(),
             models: (0..domains)
-                .map(|_| Box::new(RoundRobinFs::new()) as Box<dyn DistFs>)
+                .map(|d| {
+                    Box::new(RoundRobinFs {
+                        owned: (0..SERVERS).filter(|s| s % domains == d).collect(),
+                        ..RoundRobinFs::new()
+                    }) as Box<dyn DistFs>
+                })
                 .collect(),
             lookahead: SimDuration::from_micros(40),
         })
@@ -82,9 +113,22 @@ impl DistFs for RoundRobinFs {
         out.reset();
         let calls = self.calls.entry((client.node, client.proc)).or_insert(0);
         let server = ServerId((client.node + client.proc + *calls as usize) % SERVERS);
+        let home = self.owned[(client.node + client.proc) % self.owned.len()];
+        if *calls % 7 == 6 {
+            out.pauses
+                .push((ServerId(home), SimDuration::from_micros(30)));
+        }
         *calls += 1;
         let demand = match op {
-            MetaOp::Create { .. } => SimDuration::from_micros(25),
+            MetaOp::Create { .. } => {
+                out.background.push(BackgroundJob {
+                    server: ServerId(home),
+                    demand: SimDuration::from_micros(15),
+                    release_sem: None,
+                    label: Some("writeback"),
+                });
+                SimDuration::from_micros(25)
+            }
             _ => SimDuration::from_micros(8),
         };
         out.stages.push(Stage::ClientCpu {
@@ -102,16 +146,45 @@ impl DistFs for RoundRobinFs {
     }
 }
 
-fn run_traced(threads: usize) -> (String, String, String) {
-    run_traced_cfg(Some(threads), false)
+/// A CPU hog on node 0 and a sequential-writer load on server 1, both
+/// while the workers run.
+fn disturbances() -> Vec<Disturbance> {
+    vec![
+        Disturbance::CpuHog {
+            node: 0,
+            start: SimTime::from_micros(500),
+            end: SimTime::from_millis(3),
+            weight: 32.0,
+        },
+        Disturbance::ServerLoad {
+            server: 1,
+            start: SimTime::from_millis(1),
+            end: SimTime::from_millis(4),
+            demand: SimDuration::from_micros(60),
+            interval: SimDuration::from_micros(50),
+        },
+    ]
+}
+
+fn run_traced(threads: usize, disturbed: bool) -> (String, String, String) {
+    let disturbances = if disturbed {
+        disturbances()
+    } else {
+        Vec::new()
+    };
+    run_traced_cfg(Some(threads), false, RoundRobinFs::new(), disturbances)
 }
 
 /// `threads = None` leaves the global knob unset, so the engine choice is
 /// down to `SimConfig::pin_windowed_engine` alone.
-fn run_traced_cfg(threads: Option<usize>, pin_windowed_engine: bool) -> (String, String, String) {
+fn run_traced_cfg(
+    threads: Option<usize>,
+    pin_windowed_engine: bool,
+    mut model: RoundRobinFs,
+    disturbances: Vec<Disturbance>,
+) -> (String, String, String) {
     set_sim_threads(threads);
     let (result, report) = telemetry::capture(|| {
-        let mut model = RoundRobinFs::new();
         let node_names: Vec<String> = (0..NODES).map(|i| format!("pn{i}")).collect();
         let specs: Vec<WorkerSpec> = (0..NODES * PROCS_PER_NODE)
             .map(|w| WorkerSpec::new(w / PROCS_PER_NODE, w % PROCS_PER_NODE))
@@ -136,6 +209,7 @@ fn run_traced_cfg(threads: Option<usize>, pin_windowed_engine: bool) -> (String,
             .collect();
         let mut cfg = SimConfig::default();
         cfg.pin_windowed_engine = pin_windowed_engine;
+        cfg.disturbances = disturbances;
         run_sim(&mut model, &node_names, specs, streams, &cfg)
     });
     set_sim_threads(None);
@@ -152,34 +226,60 @@ fn run_traced_cfg(threads: Option<usize>, pin_windowed_engine: bool) -> (String,
 #[test]
 fn partitioned_runs_bit_identical_across_thread_counts() {
     let _serial = KNOB.lock().unwrap_or_else(|e| e.into_inner());
-    let baseline = run_traced(1);
+    let mut baselines = Vec::new();
+    for disturbed in [false, true] {
+        let baseline = run_traced(1, disturbed);
 
-    // evidence the windowed engine actually ran: one trace process per
-    // domain (an unpartitioned run would emit exactly one)
-    assert_eq!(
-        baseline.1.matches("process_name").count(),
-        SERVERS,
-        "expected one telemetry process per domain"
-    );
+        // evidence the windowed engine actually ran: one trace process per
+        // domain (an unpartitioned run would emit exactly one)
+        assert_eq!(
+            baseline.1.matches("process_name").count(),
+            SERVERS,
+            "expected one telemetry process per domain"
+        );
+        // every op completed, and the owned pauses, write-backs and timers
+        // (and, disturbed, the server load) ran
+        assert_eq!(
+            baseline
+                .0
+                .matches(&format!("ops_done: {OPS_PER_WORKER},"))
+                .count(),
+            NODES * PROCS_PER_NODE,
+            "every worker completes every op"
+        );
+        assert!(baseline.1.contains("\"writeback\""), "no write-back ran");
+        // the plans pause 8 times per worker; the rest are timer pauses
+        let plan_pauses = NODES * PROCS_PER_NODE * 8;
+        assert!(
+            baseline.1.matches("\"consistency-point\"").count() > plan_pauses,
+            "no model timer paused a server"
+        );
+        assert_eq!(baseline.1.contains("\"server-load\""), disturbed);
 
-    for threads in [2, 4, 8] {
-        let run = run_traced(threads);
-        assert_eq!(
-            baseline.0, run.0,
-            "SimRunResult differs between --sim-threads 1 and {threads}"
-        );
-        assert_eq!(
-            baseline.1, run.1,
-            "Chrome trace differs between --sim-threads 1 and {threads}"
-        );
-        assert_eq!(
-            baseline.2, run.2,
-            "timeseries differs between --sim-threads 1 and {threads}"
-        );
+        for threads in [2, 4, 8] {
+            let run = run_traced(threads, disturbed);
+            assert_eq!(
+                baseline.0, run.0,
+                "SimRunResult differs between --sim-threads 1 and {threads} \
+                 (disturbed: {disturbed})"
+            );
+            assert_eq!(
+                baseline.1, run.1,
+                "Chrome trace differs between --sim-threads 1 and {threads} \
+                 (disturbed: {disturbed})"
+            );
+            assert_eq!(
+                baseline.2, run.2,
+                "timeseries differs between --sim-threads 1 and {threads} \
+                 (disturbed: {disturbed})"
+            );
+        }
+        baselines.push(baseline);
     }
-
-    // sanity on the workload itself: every op completed
-    assert!(baseline.0.contains(&format!("ops_done: {OPS_PER_WORKER}")));
+    assert_ne!(
+        baselines[0].0, baselines[1].0,
+        "the hog and the load change the run"
+    );
 }
 
 /// `SimConfig::pin_windowed_engine` routes a partitionable model to the
@@ -189,8 +289,8 @@ fn partitioned_runs_bit_identical_across_thread_counts() {
 #[test]
 fn pin_windowed_engine_matches_sim_threads_1() {
     let _serial = KNOB.lock().unwrap_or_else(|e| e.into_inner());
-    let explicit = run_traced_cfg(Some(1), false);
-    let pinned = run_traced_cfg(None, true);
+    let explicit = run_traced_cfg(Some(1), false, RoundRobinFs::new(), Vec::new());
+    let pinned = run_traced_cfg(None, true, RoundRobinFs::new(), Vec::new());
     assert_eq!(
         pinned.1.matches("process_name").count(),
         SERVERS,
@@ -200,7 +300,7 @@ fn pin_windowed_engine_matches_sim_threads_1() {
     assert_eq!(explicit.1, pinned.1);
     assert_eq!(explicit.2, pinned.2);
     // the pin composes with an explicit thread count rather than fighting it
-    let both = run_traced_cfg(Some(4), true);
+    let both = run_traced_cfg(Some(4), true, RoundRobinFs::new(), Vec::new());
     assert_eq!(explicit.0, both.0);
     assert_eq!(explicit.1, both.1);
 }
