@@ -63,7 +63,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use dfs::{BackgroundJob, ClientCtx, DistFs, OpPlan, PartitionPlan, Stage};
 use simcore::par::{self, Envelope, Outbox, WindowDomain};
 use simcore::{
-    prof, telemetry, DetRng, FifoResource, JobId, LatencyHistogram, PsResource, Scheduler,
+    prof, telemetry, DetRng, EventId, FifoResource, JobId, LatencyHistogram, PsResource, Scheduler,
     Semaphore, SimDuration, SimTime,
 };
 
@@ -299,6 +299,8 @@ struct Domain<'run> {
     servers: Vec<Option<FifoResource>>,
     /// CPU resources indexed by *global* node id (`Some` iff owned).
     cpus: Vec<Option<PsResource>>,
+    /// The one pending `CpuDone` of each node's CPU, if any (global node id).
+    cpu_done: Vec<Option<EventId>>,
     /// The model's semaphores (always empty when partitioned).
     sems: Vec<Semaphore>,
     rng: DetRng,
@@ -343,15 +345,21 @@ impl Domain<'_> {
         })
     }
 
-    fn schedule_cpu(&mut self, node: usize, now: SimTime) {
-        if let Some(c) = self.cpu(node).next_completion(now) {
-            self.sched.schedule_at(
+    /// Replace `node`'s pending `CpuDone` with the CPU's current
+    /// prediction; called after every change to the CPU's population.
+    fn schedule_cpu(&mut self, node: usize) {
+        if let Some(stale) = self.cpu_done[node].take() {
+            self.sched.cancel(stale);
+        }
+        if let Some(c) = self.cpu(node).next_completion() {
+            let id = self.sched.schedule_at(
                 c.at,
                 Ev::CpuDone {
                     node,
                     generation: c.generation,
                 },
             );
+            self.cpu_done[node] = Some(id);
         }
     }
 
@@ -601,7 +609,7 @@ impl Domain<'_> {
                 Stage::ClientCpu { demand } => {
                     let weight = self.states[w].spec.cpu_weight;
                     self.cpu(node).arrive(now, job, demand, weight);
-                    self.schedule_cpu(node, now);
+                    self.schedule_cpu(node);
                     return;
                 }
                 Stage::NetDelay { delay } => {
@@ -718,12 +726,19 @@ impl Domain<'_> {
                 self.advance(w, out);
             }
             Ev::CpuDone { node, generation } => {
-                if let Some(job) = self.cpu(node).on_completion(now, generation) {
+                self.cpu_done[node] = None;
+                let cpu = self.cpu(node);
+                assert_eq!(
+                    generation,
+                    cpu.generation(),
+                    "a superseded CpuDone on node {node} was delivered, not cancelled"
+                );
+                if let Some(job) = cpu.on_completion(now, generation) {
                     if job.0 < BG_BASE {
                         self.sched.schedule_at(now, Ev::StageCompleted { job });
                     }
                 }
-                self.schedule_cpu(node, now);
+                self.schedule_cpu(node);
             }
             Ev::ServerDone { server, job } => {
                 if let Some(start) = self.server(server).complete(now) {
@@ -866,11 +881,11 @@ impl Domain<'_> {
             }
             Ev::HogStart { node, job, weight } => {
                 self.cpu(node).arrive_background(now, job, weight);
-                self.schedule_cpu(node, now);
+                self.schedule_cpu(node);
             }
             Ev::HogEnd { node, job } => {
                 self.cpu(node).remove(now, job);
-                self.schedule_cpu(node, now);
+                self.schedule_cpu(node);
             }
             Ev::LoadTick { idx } => match self.disturbances[idx] {
                 Disturbance::ServerPause {
@@ -1154,6 +1169,7 @@ pub(crate) fn run(
                 .iter()
                 .map(|&nd| (nd == d).then(|| PsResource::new(config.node_cores)))
                 .collect(),
+            cpu_done: vec![None; nodes],
             sems: resources
                 .semaphores
                 .iter()

@@ -122,9 +122,12 @@ pub struct Scheduler<E> {
     /// sparse wheel (the common engine case: a few hundred live events)
     /// skip whole levels instead of scanning four words per empty level.
     level_mask: u8,
-    /// Recycled spill buffer for cascades (kept empty between pops), so
-    /// draining a bucket never allocates.
-    scratch: Vec<BucketRef>,
+    /// Empty bucket vectors with capacity. A drained level-0 bucket and a
+    /// cascaded upper bucket return their vector here, and filing into a
+    /// bucket that has none takes one, so the vectors in use track the
+    /// buckets occupied at once, not the buckets ever touched: after
+    /// warm-up, scheduling allocates nothing however far the clock runs.
+    spare: Vec<Vec<BucketRef>>,
     /// Events more than `2^48` ns past the cursor; re-filed block by block
     /// when the wheel drains.
     overflow: Vec<BucketRef>,
@@ -149,7 +152,7 @@ impl<E> Scheduler<E> {
             buckets: Box::new(std::array::from_fn(|_| std::array::from_fn(|_| Vec::new()))),
             occupancy: [0; LEVELS * OCC_WORDS],
             level_mask: 0,
-            scratch: Vec::new(),
+            spare: Vec::new(),
             overflow: Vec::new(),
         }
     }
@@ -350,7 +353,13 @@ impl<E> Scheduler<E> {
             ((63 - diff.leading_zeros()) / SLOT_BITS) as usize
         };
         let slot = ((at >> (SLOT_BITS * level as u32)) & (SLOTS as u64 - 1)) as usize;
-        self.buckets[level][slot].push(BucketRef { id, at, seq });
+        let bucket = &mut self.buckets[level][slot];
+        if bucket.capacity() == 0 {
+            if let Some(spare) = self.spare.pop() {
+                *bucket = spare;
+            }
+        }
+        bucket.push(BucketRef { id, at, seq });
         self.occ_set(level, slot);
     }
 
@@ -394,7 +403,7 @@ impl<E> Scheduler<E> {
                 }
             }
             let Some((_, pos)) = best else {
-                self.occ_clear(0, slot);
+                self.retire(slot);
                 return None;
             };
             let r = bucket.swap_remove(pos);
@@ -410,10 +419,18 @@ impl<E> Scheduler<E> {
             self.free.push(idx as u32);
             self.live -= 1;
             if self.buckets[0][slot & (SLOTS - 1)].is_empty() {
-                self.occ_clear(0, slot);
+                self.retire(slot);
             }
             return Some((at, payload));
         }
+    }
+
+    /// Mark the emptied level-0 bucket `slot` unoccupied and move its vector
+    /// to [`spare`](Scheduler::spare) for the next bucket that needs one.
+    fn retire(&mut self, slot: usize) {
+        self.occ_clear(0, slot);
+        let emptied = std::mem::take(&mut self.buckets[0][slot & (SLOTS - 1)]);
+        self.spare.push(emptied);
     }
 
     /// Re-file every entry of bucket (`level`, `slot`) one or more levels
@@ -425,8 +442,7 @@ impl<E> Scheduler<E> {
     /// the cursor on all digits at `level` and above, so each re-files
     /// strictly below `level` — the hierarchical-wheel descent.
     fn cascade(&mut self, level: usize, slot: usize) {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        std::mem::swap(&mut scratch, &mut self.buckets[level][slot & (SLOTS - 1)]);
+        let mut drained = std::mem::take(&mut self.buckets[level][slot & (SLOTS - 1)]);
         self.occ_clear(level, slot);
         let step = SLOT_BITS * level as u32;
         // Window start: cursor's digits above `level`, `slot` at `level`,
@@ -437,10 +453,10 @@ impl<E> Scheduler<E> {
         if window > self.cursor {
             self.cursor = window;
         }
-        for r in scratch.drain(..) {
+        for r in drained.drain(..) {
             self.file(r.id, r.at, r.seq);
         }
-        self.scratch = scratch; // empty again; keeps its capacity
+        self.spare.push(drained); // empty again; keeps its capacity
     }
 
     /// The wheel is (live-)empty but events remain: jump the cursor to the
