@@ -14,28 +14,50 @@
 use crate::suite::{fmt_ops, fmt_x, make_workers, node_names, ExpTable, ReportBuilder};
 use cluster::{run_sim, OpStream, SimConfig, WorkerSpec};
 use dfs::{MetaOp, NfsConfig, NfsFs};
-use memfs::{DirIndexKind, Vfs};
+use memfs::{DirIndexKind, MemFs, Vfs};
 
 const MEASURE_OPS: u64 = 2_000;
 
-/// Create an NFS model whose server uses the given directory index and
-/// whose shared directory `/big` is pre-populated with `n` entries.
-fn prepared_model(kind: DirIndexKind, n: u64) -> NfsFs {
-    let mut cfg = NfsConfig::default();
-    cfg.fs_config.dir_index = kind;
-    let mut model = NfsFs::new(cfg);
-    let fs = model.server_fs_mut();
-    fs.mkdir("/big").expect("fresh fs");
-    for i in 0..n {
-        let fd = fs.create(&format!("/big/old{i}")).expect("unique");
-        fs.close(fd).expect("open");
-    }
-    fs.take_cost(); // preparation work is not part of the measurement
-    model
+/// One server namespace per index kind whose shared directory `/big` grows
+/// size by size: each measured size reuses the entries made for the sizes
+/// before it.
+struct GrowingDir {
+    config: NfsConfig,
+    fs: MemFs,
+    entries: u64,
 }
 
-fn creation_rate(kind: DirIndexKind, n: u64, nodes: usize, ppn: usize) -> f64 {
-    let mut model = prepared_model(kind, n);
+impl GrowingDir {
+    fn new(kind: DirIndexKind) -> Self {
+        let mut config = NfsConfig::default();
+        config.fs_config.dir_index = kind;
+        let mut fs = MemFs::with_config(config.fs_config.clone());
+        fs.mkdir("/big").expect("fresh fs");
+        GrowingDir {
+            config,
+            fs,
+            entries: 0,
+        }
+    }
+
+    /// An NFS model whose server holds a copy of the namespace with `/big`
+    /// grown to `n` entries.
+    fn model(&mut self, n: u64) -> NfsFs {
+        assert!(n >= self.entries, "the directory only grows");
+        for i in self.entries..n {
+            let fd = self.fs.create(&format!("/big/old{i}")).expect("unique");
+            self.fs.close(fd).expect("open");
+        }
+        self.entries = n;
+        let mut model = NfsFs::new(self.config.clone());
+        let fs = model.server_fs_mut();
+        *fs = self.fs.clone();
+        fs.take_cost(); // preparation work is not part of the measurement
+        model
+    }
+}
+
+fn creation_rate(mut model: NfsFs, nodes: usize, ppn: usize) -> f64 {
     let workers: Vec<WorkerSpec> = make_workers(nodes, ppn);
     let quota = MEASURE_OPS / workers.len() as u64;
     let streams: Vec<Box<dyn OpStream>> = workers
@@ -65,30 +87,57 @@ fn creation_rate(kind: DirIndexKind, n: u64, nodes: usize, ppn: usize) -> f64 {
     res.stonewall_ops_per_sec()
 }
 
+/// Sequential creation rates into `/big` at each of `sizes`, one growing
+/// namespace for all of them.
+fn sequential_rates(kind: DirIndexKind, sizes: &[u64]) -> Vec<f64> {
+    let mut dir = GrowingDir::new(kind);
+    sizes
+        .iter()
+        .map(|&n| creation_rate(dir.model(n), 1, 1))
+        .collect()
+}
+
 pub fn run(b: &mut ReportBuilder) {
     // Linear directories are O(N) per lookup, so pre-population itself is
     // O(N²); cap their sizes, as any real benchmark would have to.
     let linear_sizes: [u64; 3] = [1_000, 10_000, 30_000];
     let indexed_sizes: [u64; 5] = [1_000, 10_000, 30_000, 100_000, 300_000];
+    const PARALLEL_SIZE: u64 = 100_000;
+
+    let linear = sequential_rates(DirIndexKind::Linear, &linear_sizes);
+    let btree = sequential_rates(DirIndexKind::BTree, &indexed_sizes);
+    // The hashed namespace also serves the parallel cells, whose
+    // sequential baseline is the hashed cell of the same size.
+    let mut hashed = Vec::new();
+    let (mut seq, mut par4, mut par8) = (0.0, 0.0, 0.0);
+    {
+        let mut dir = GrowingDir::new(DirIndexKind::Hashed);
+        for &n in &indexed_sizes {
+            let rate = creation_rate(dir.model(n), 1, 1);
+            hashed.push(rate);
+            if n == PARALLEL_SIZE {
+                seq = rate;
+                par4 = creation_rate(dir.model(n), 4, 1);
+                par8 = creation_rate(dir.model(n), 4, 2);
+            }
+        }
+    }
 
     let mut t = ExpTable::new(
         "§4.3.3 — sequential creation into a directory of N entries [ops/s]",
         &["N entries", "linear list", "hashed (WAFL)", "B-tree (XFS)"],
     );
-    let mut linear_rates = Vec::new();
-    let mut hashed_rates = Vec::new();
-    for &n in &indexed_sizes {
-        let lin = if linear_sizes.contains(&n) {
-            let r = creation_rate(DirIndexKind::Linear, n, 1, 1);
-            linear_rates.push((n, r));
-            fmt_ops(r)
-        } else {
-            "(too slow)".to_owned()
+    for (i, &n) in indexed_sizes.iter().enumerate() {
+        let lin = match linear_sizes.iter().position(|&l| l == n) {
+            Some(j) => fmt_ops(linear[j]),
+            None => "(too slow)".to_owned(),
         };
-        let hash = creation_rate(DirIndexKind::Hashed, n, 1, 1);
-        hashed_rates.push((n, hash));
-        let btree = creation_rate(DirIndexKind::BTree, n, 1, 1);
-        t.row(vec![n.to_string(), lin, fmt_ops(hash), fmt_ops(btree)]);
+        t.row(vec![
+            n.to_string(),
+            lin,
+            fmt_ops(hashed[i]),
+            fmt_ops(btree[i]),
+        ]);
     }
     b.table(t);
 
@@ -96,9 +145,6 @@ pub fn run(b: &mut ReportBuilder) {
         "§4.3.3 — parallel creation into ONE directory of 100 000 entries (hashed)",
         &["configuration", "ops/s", "speedup vs sequential"],
     );
-    let seq = creation_rate(DirIndexKind::Hashed, 100_000, 1, 1);
-    let par4 = creation_rate(DirIndexKind::Hashed, 100_000, 4, 1);
-    let par8 = creation_rate(DirIndexKind::Hashed, 100_000, 4, 2);
     t2.row(vec!["1 node × 1 proc".into(), fmt_ops(seq), "1.00x".into()]);
     t2.row(vec![
         "4 nodes × 1 proc".into(),
@@ -112,10 +158,9 @@ pub fn run(b: &mut ReportBuilder) {
     ]);
     b.table(t2);
 
-    let lin_small = linear_rates[0].1;
-    let lin_big = linear_rates[2].1;
-    let hash_small = hashed_rates[0].1;
-    let hash_big = hashed_rates.last().map(|&(_, r)| r).expect("non-empty");
+    let (lin_small, lin_big) = (linear[0], linear[2]);
+    let hash_small = hashed[0];
+    let hash_big = *hashed.last().expect("non-empty");
     b.metric_tol("linear_1k", lin_small, 1e-6);
     b.metric_tol("linear_30k", lin_big, 1e-6);
     b.metric_tol("hashed_1k", hash_small, 1e-6);

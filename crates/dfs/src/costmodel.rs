@@ -137,10 +137,29 @@ pub fn exec_op<V: Vfs + ?Sized>(vfs: &mut V, op: &MetaOp) -> FsResult<()> {
 
 /// Create every missing ancestor directory of `path`.
 ///
+/// The common case, a parent that already exists, is settled by one
+/// [`Vfs::is_dir`] probe on the text before the last `/`: if that resolves
+/// to a directory, so does every ancestor on the way, and nothing is
+/// created. The probe counts as no operation, and neither does a mkdir
+/// that fails, so the counters and the cost [`apply_meta_op`] returns are
+/// the same either way. Otherwise each ancestor is made in turn.
+///
 /// # Errors
 ///
-/// Propagates errors other than [`memfs::FsError::Exists`].
+/// Propagates errors other than [`memfs::FsError::Exists`]. A parent that
+/// exists raises none, whatever a mkdir of it would have said.
 pub fn ensure_parents<V: Vfs + ?Sized>(vfs: &mut V, path: &str) -> FsResult<()> {
+    if let Some((parent, _)) = path.rsplit_once('/') {
+        if !parent.is_empty() && vfs.is_dir(parent) {
+            return Ok(());
+        }
+    }
+    mkdir_ancestors(vfs, path)
+}
+
+/// Make every ancestor directory of `path`, root first, passing over the
+/// ones that exist.
+fn mkdir_ancestors<V: Vfs + ?Sized>(vfs: &mut V, path: &str) -> FsResult<()> {
     let p = memfs::FsPath::parse(path)?;
     let comps = p.components();
     let mut cur = String::new();
@@ -331,6 +350,44 @@ mod tests {
             exec_op(&mut fs, op).unwrap_or_else(|e| panic!("{op:?}: {e}"));
         }
         assert_eq!(fs.stat("/d/f").unwrap().size, 10);
+    }
+
+    /// The early return on an existing parent gives what trying every
+    /// mkdir gives, counters included, for parents that exist, are missing,
+    /// sit behind a symlink, dangle or are files.
+    #[test]
+    fn ensure_parents_matches_mkdir_every_ancestor() {
+        fn tree() -> MemFs {
+            let mut fs = MemFs::new();
+            fs.mkdir("/a").unwrap();
+            fs.mkdir("/a/b").unwrap();
+            let fd = fs.create("/a/file").unwrap();
+            fs.close(fd).unwrap();
+            fs.symlink("/a", "/ln").unwrap();
+            fs.symlink("/gone", "/dang").unwrap();
+            fs
+        }
+        for path in [
+            "/a/b/f",
+            "/a/b/c/d/f",
+            "/ln/b/f",
+            "/ln/new/f",
+            "/dang/x/f",
+            "/a/file/x/f",
+            "/a/./b//f",
+            "/a/zz/../b/f",
+            "/f",
+            "x/y",
+        ] {
+            let (mut fast, mut slow) = (tree(), tree());
+            let got = ensure_parents(&mut fast, path);
+            assert_eq!(got, mkdir_ancestors(&mut slow, path), "{path}");
+            assert_eq!(fast.counters(), slow.counters(), "{path}");
+            assert_eq!(fast.check(), slow.check(), "{path}");
+            for probe in ["/a/b/c/d", "/a/new", "/gone/x", "/a/b/c"] {
+                assert_eq!(fast.stat(probe).is_ok(), slow.stat(probe).is_ok(), "{path}");
+            }
+        }
     }
 
     #[test]

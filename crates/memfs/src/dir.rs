@@ -110,9 +110,15 @@ pub fn new_index(kind: DirIndexKind) -> Box<dyn DirIndex> {
 // ---------------------------------------------------------------------------
 
 /// Traditional linear-list directory: every lookup scans entries in order.
+///
+/// Beside the entries sits an array of their names' hashes (the low 32
+/// bits of their FNV-1a hash), so the scan reads 4 bytes per entry, a
+/// chunk at a time in vector compares, and compares a name only when its
+/// hash matches. A probe is still one entry visited.
 #[derive(Debug, Clone, Default)]
 pub struct LinearDir {
     entries: Vec<RawEntry>,
+    hashes: Vec<u32>,
 }
 
 impl LinearDir {
@@ -120,39 +126,62 @@ impl LinearDir {
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// The hash kept for `name`.
+    fn short_hash(name: &str) -> u32 {
+        hash_name(name) as u32
+    }
+
+    /// Position of `name` (whose short hash is `hash`), or `None` after a
+    /// full scan.
+    fn position(&self, hash: u32, name: &str) -> Option<usize> {
+        // Testing a whole chunk without branching lets the compiler use
+        // vector compares; only a chunk with a hit is looked at closely.
+        const CHUNK: usize = 32;
+        for (c, chunk) in self.hashes.chunks(CHUNK).enumerate() {
+            if chunk.iter().fold(false, |hit, &h| hit | (h == hash)) {
+                for (j, &h) in chunk.iter().enumerate() {
+                    let i = c * CHUNK + j;
+                    if h == hash && &*self.entries[i].name == name {
+                        return Some(i);
+                    }
+                }
+            }
+        }
+        None
+    }
 }
 
 impl DirIndex for LinearDir {
     fn lookup(&self, name: &str) -> Probed<Option<RawEntry>> {
-        for (i, e) in self.entries.iter().enumerate() {
-            if &*e.name == name {
-                return Probed::new(Some(e.clone()), i as u64 + 1);
-            }
+        match self.position(Self::short_hash(name), name) {
+            Some(i) => Probed::new(Some(self.entries[i].clone()), i as u64 + 1),
+            None => Probed::new(None, self.entries.len() as u64),
         }
-        Probed::new(None, self.entries.len() as u64)
     }
 
     fn insert(&mut self, entry: RawEntry) -> Probed<bool> {
         // Uniqueness requires a full scan before appending (the cost the
         // thesis identifies as dominating create performance in large
         // directories, §2.6.3 / §4.3.3).
-        let scan = self.lookup(&entry.name);
-        if scan.value.is_some() {
-            return Probed::new(false, scan.probes);
+        let hash = Self::short_hash(&entry.name);
+        if let Some(i) = self.position(hash, &entry.name) {
+            return Probed::new(false, i as u64 + 1);
         }
-        let probes = scan.probes + 1;
+        let probes = self.entries.len() as u64 + 1;
+        self.hashes.push(hash);
         self.entries.push(entry);
         Probed::new(true, probes)
     }
 
     fn remove(&mut self, name: &str) -> Probed<Option<RawEntry>> {
-        for (i, e) in self.entries.iter().enumerate() {
-            if &*e.name == name {
-                let probes = i as u64 + 1;
-                return Probed::new(Some(self.entries.remove(i)), probes);
+        match self.position(Self::short_hash(name), name) {
+            Some(i) => {
+                self.hashes.remove(i);
+                Probed::new(Some(self.entries.remove(i)), i as u64 + 1)
             }
+            None => Probed::new(None, self.entries.len() as u64),
         }
-        Probed::new(None, self.entries.len() as u64)
     }
 
     fn len(&self) -> usize {
@@ -182,9 +211,12 @@ const MAX_LOAD: usize = 8; // entries per bucket before doubling
 /// Hash-bucketed directory: a name hash confines the scan to one bucket
 /// (paper §2.4.2, WAFL). Buckets double when the mean load exceeds a bound,
 /// so probes stay `O(1)` amortized.
+///
+/// Each entry keeps its name's hash: a bucket scan compares names only on a
+/// hash match, and growing rehashes no name.
 #[derive(Debug, Clone)]
 pub struct HashedDir {
-    buckets: Vec<Vec<RawEntry>>,
+    buckets: Vec<Vec<(u64, RawEntry)>>,
     len: usize,
 }
 
@@ -203,8 +235,8 @@ impl HashedDir {
         }
     }
 
-    fn bucket_of(&self, name: &str) -> usize {
-        (hash_name(name) as usize) & (self.buckets.len() - 1)
+    fn bucket_of(&self, hash: u64) -> usize {
+        (hash as usize) & (self.buckets.len() - 1)
     }
 
     fn maybe_grow(&mut self) -> u64 {
@@ -215,9 +247,8 @@ impl HashedDir {
         let mut new_buckets = vec![Vec::new(); new_size];
         let mut moved = 0;
         for bucket in self.buckets.drain(..) {
-            for e in bucket {
-                let idx = (hash_name(&e.name) as usize) & (new_size - 1);
-                new_buckets[idx].push(e);
+            for (hash, e) in bucket {
+                new_buckets[(hash as usize) & (new_size - 1)].push((hash, e));
                 moved += 1;
             }
         }
@@ -237,45 +268,48 @@ fn hash_name(name: &str) -> u64 {
     h
 }
 
+/// Position of `name` (hashing to `hash`) in `bucket`.
+fn bucket_position(bucket: &[(u64, RawEntry)], hash: u64, name: &str) -> Option<usize> {
+    bucket
+        .iter()
+        .position(|(h, e)| *h == hash && &*e.name == name)
+}
+
 impl DirIndex for HashedDir {
     fn lookup(&self, name: &str) -> Probed<Option<RawEntry>> {
-        let b = &self.buckets[self.bucket_of(name)];
-        for (i, e) in b.iter().enumerate() {
-            if &*e.name == name {
-                return Probed::new(Some(e.clone()), i as u64 + 1);
-            }
+        let hash = hash_name(name);
+        let b = &self.buckets[self.bucket_of(hash)];
+        match bucket_position(b, hash, name) {
+            Some(i) => Probed::new(Some(b[i].1.clone()), i as u64 + 1),
+            None => Probed::new(None, b.len() as u64 + 1),
         }
-        Probed::new(None, b.len() as u64 + 1)
     }
 
     fn insert(&mut self, entry: RawEntry) -> Probed<bool> {
-        let idx = self.bucket_of(&entry.name);
+        let hash = hash_name(&entry.name);
+        let idx = self.bucket_of(hash);
         let bucket = &mut self.buckets[idx];
-        let mut probes = 1;
-        for e in bucket.iter() {
-            probes += 1;
-            if e.name == entry.name {
-                return Probed::new(false, probes);
-            }
+        // one probe for the bucket, one per entry compared
+        if let Some(i) = bucket_position(bucket, hash, &entry.name) {
+            return Probed::new(false, i as u64 + 2);
         }
-        bucket.push(entry);
+        let probes = bucket.len() as u64 + 1;
+        bucket.push((hash, entry));
         self.len += 1;
-        probes += self.maybe_grow() / 8; // amortized rehash cost
-        Probed::new(true, probes)
+        Probed::new(true, probes + self.maybe_grow() / 8) // amortized rehash cost
     }
 
     fn remove(&mut self, name: &str) -> Probed<Option<RawEntry>> {
-        let idx = self.bucket_of(name);
+        let hash = hash_name(name);
+        let idx = self.bucket_of(hash);
         let bucket = &mut self.buckets[idx];
-        for (i, e) in bucket.iter().enumerate() {
-            if &*e.name == name {
-                let probes = i as u64 + 1;
-                let removed = bucket.remove(i);
+        match bucket_position(bucket, hash, name) {
+            Some(i) => {
                 self.len -= 1;
-                return Probed::new(Some(removed), probes);
+                Probed::new(Some(bucket.remove(i).1), i as u64 + 1)
             }
+            None => Probed::new(None, bucket.len() as u64 + 1),
         }
-        Probed::new(None, bucket.len() as u64 + 1)
     }
 
     fn len(&self) -> usize {
@@ -283,7 +317,7 @@ impl DirIndex for HashedDir {
     }
 
     fn iter_entries(&self) -> Box<dyn Iterator<Item = &RawEntry> + '_> {
-        Box::new(self.buckets.iter().flatten())
+        Box::new(self.buckets.iter().flatten().map(|(_, e)| e))
     }
 
     fn kind(&self) -> DirIndexKind {

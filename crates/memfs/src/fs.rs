@@ -5,7 +5,7 @@
 //! the actual data-structure work, and the cost meter reports how much work
 //! was done so the simulation layer can charge realistic service times.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use simcore::telemetry;
@@ -17,7 +17,7 @@ use crate::crash::{fnv1a, ScrubReport, Scrubber};
 use crate::dir::{new_index, DirIndex, DirIndexKind, RawEntry};
 use crate::error::{FsError, FsResult};
 use crate::journal::{Journal, JournalMode, JournalRecord};
-use crate::path::FsPath;
+use crate::path::Components;
 use crate::vfs::{Fd, FsStats, OpenFlags, Vfs};
 
 /// The root directory's inode number.
@@ -81,18 +81,18 @@ impl Default for MemFsConfig {
 /// snapshots (WAFL-style copy-on-write). Cloning is a refcount bump; the
 /// first mutation after a snapshot clones just this one directory.
 #[derive(Debug, Clone)]
-struct SharedIndex(Arc<Box<dyn DirIndex>>);
+struct SharedIndex(Arc<dyn DirIndex>);
 
 impl SharedIndex {
     fn new(index: Box<dyn DirIndex>) -> Self {
-        SharedIndex(Arc::new(index))
+        SharedIndex(Arc::from(index))
     }
 
     /// Mutable access, cloning the index first if a snapshot still shares it
     /// (the object-safe equivalent of `Arc::make_mut`).
-    fn make_mut(&mut self) -> &mut Box<dyn DirIndex> {
+    fn make_mut(&mut self) -> &mut dyn DirIndex {
         if Arc::get_mut(&mut self.0).is_none() {
-            self.0 = Arc::new(self.0.clone_box());
+            self.0 = Arc::from(self.0.clone_box());
         }
         Arc::get_mut(&mut self.0).expect("just made unique")
     }
@@ -101,7 +101,7 @@ impl SharedIndex {
 impl std::ops::Deref for SharedIndex {
     type Target = dyn DirIndex;
     fn deref(&self) -> &Self::Target {
-        self.0.as_ref().as_ref()
+        &*self.0
     }
 }
 
@@ -157,6 +157,81 @@ struct Inode {
     xattrs: Arc<BTreeMap<String, Vec<u8>>>,
 }
 
+/// How far the resolver walks a path.
+#[derive(Debug, Clone, Copy)]
+enum Walk {
+    /// To the final component, following it if it is a symlink and
+    /// `follow_last` is set.
+    To { follow_last: bool },
+    /// To the directory holding the final component, which is not looked
+    /// up.
+    Parent,
+}
+
+/// The outcome of one resolver pass.
+enum Step {
+    /// The walk ended at this inode.
+    Done(Ino),
+    /// A symlink was crossed: walk this path next.
+    Follow(String),
+}
+
+/// The inode table, indexed by inode number. Numbers are handed out in
+/// increasing order and never reused, so a vector with one hole per freed
+/// inode holds them densely, and a lookup is an index, not a tree descent.
+/// Iteration is in inode-number order.
+#[derive(Debug, Clone, Default)]
+struct InodeTable {
+    slots: Vec<Option<Inode>>,
+    live: usize,
+}
+
+impl InodeTable {
+    fn get(&self, ino: u64) -> Option<&Inode> {
+        self.slots.get(ino as usize)?.as_ref()
+    }
+
+    fn get_mut(&mut self, ino: u64) -> Option<&mut Inode> {
+        self.slots.get_mut(ino as usize)?.as_mut()
+    }
+
+    fn contains(&self, ino: u64) -> bool {
+        self.get(ino).is_some()
+    }
+
+    fn insert(&mut self, ino: u64, node: Inode) {
+        let i = ino as usize;
+        if i >= self.slots.len() {
+            self.slots.resize_with(i + 1, || None);
+        }
+        if self.slots[i].replace(node).is_none() {
+            self.live += 1;
+        }
+    }
+
+    fn remove(&mut self, ino: u64) -> Option<Inode> {
+        let node = self.slots.get_mut(ino as usize)?.take();
+        if node.is_some() {
+            self.live -= 1;
+        }
+        node
+    }
+
+    /// Live inodes.
+    fn len(&self) -> usize {
+        self.live
+    }
+
+    /// Live inodes from number `from` on, in number order.
+    fn iter_from(&self, from: u64) -> impl Iterator<Item = (u64, &Inode)> {
+        let from = (from as usize).min(self.slots.len());
+        self.slots[from..]
+            .iter()
+            .enumerate()
+            .filter_map(move |(i, slot)| Some(((from + i) as u64, slot.as_ref()?)))
+    }
+}
+
 #[derive(Debug, Clone)]
 struct OpenFile {
     ino: Ino,
@@ -166,7 +241,7 @@ struct OpenFile {
 
 #[derive(Debug, Clone)]
 struct FsImage {
-    inodes: BTreeMap<u64, Inode>,
+    inodes: InodeTable,
     allocator: SharedAlloc,
     next_ino: u64,
 }
@@ -191,7 +266,7 @@ struct FsImage {
 #[derive(Debug, Clone)]
 pub struct MemFs {
     config: MemFsConfig,
-    inodes: BTreeMap<u64, Inode>,
+    inodes: InodeTable,
     next_ino: u64,
     allocator: SharedAlloc,
     journal: Journal,
@@ -204,6 +279,17 @@ pub struct MemFs {
     counters: OpCounters,
     snapshots: BTreeMap<String, FsImage>,
     checkpoint_image: Option<FsImage>,
+    /// The empty payloads every new inode starts with, shared; the first
+    /// write to one goes through `Arc::make_mut`, which copies it.
+    empty: EmptyPayloads,
+}
+
+/// See [`MemFs`]'s `empty` field.
+#[derive(Debug, Clone, Default)]
+struct EmptyPayloads {
+    data: Arc<Vec<u8>>,
+    extents: Arc<Vec<Extent>>,
+    xattrs: Arc<BTreeMap<String, Vec<u8>>>,
 }
 
 impl Default for MemFs {
@@ -220,7 +306,8 @@ impl MemFs {
 
     /// Create a file system with the given configuration.
     pub fn with_config(config: MemFsConfig) -> Self {
-        let mut inodes = BTreeMap::new();
+        let empty = EmptyPayloads::default();
+        let mut inodes = InodeTable::default();
         let root_attr = FileAttr::new(ROOT_INO, FileType::Directory, DEFAULT_DIR_MODE, 0, 0, 0);
         inodes.insert(
             ROOT_INO.0,
@@ -231,7 +318,7 @@ impl MemFs {
                     parent: ROOT_INO,
                 },
                 open_count: 0,
-                xattrs: Arc::default(),
+                xattrs: empty.xattrs.clone(),
             },
         );
         let allocator = SharedAlloc::new(new_allocator(config.allocator, config.total_blocks));
@@ -251,6 +338,7 @@ impl MemFs {
             counters: OpCounters::default(),
             snapshots: BTreeMap::new(),
             checkpoint_image: None,
+            empty,
         }
     }
 
@@ -278,11 +366,11 @@ impl MemFs {
     }
 
     fn inode(&self, ino: Ino) -> FsResult<&Inode> {
-        self.inodes.get(&ino.0).ok_or(FsError::NotFound)
+        self.inodes.get(ino.0).ok_or(FsError::NotFound)
     }
 
     fn inode_mut(&mut self, ino: Ino) -> FsResult<&mut Inode> {
-        self.inodes.get_mut(&ino.0).ok_or(FsError::NotFound)
+        self.inodes.get_mut(ino.0).ok_or(FsError::NotFound)
     }
 
     fn require_writable(&self) -> FsResult<()> {
@@ -291,17 +379,6 @@ impl MemFs {
         } else {
             Ok(())
         }
-    }
-
-    fn alloc_ino(&mut self) -> FsResult<Ino> {
-        if let Some(max) = self.config.max_inodes {
-            if self.inodes.len() as u64 >= max {
-                return Err(FsError::NoSpace);
-            }
-        }
-        let ino = Ino(self.next_ino);
-        self.next_ino += 1;
-        Ok(ino)
     }
 
     fn check_perm(&self, attr: &FileAttr, r: bool, w: bool, x: bool) -> FsResult<()> {
@@ -322,78 +399,108 @@ impl MemFs {
         }
     }
 
-    fn dir_index_mut(&mut self, ino: Ino) -> FsResult<&mut Box<dyn DirIndex>> {
+    fn dir_index_mut(&mut self, ino: Ino) -> FsResult<&mut dyn DirIndex> {
         match &mut self.inode_mut(ino)?.data {
             InodeData::Dir { index, .. } => Ok(index.make_mut()),
             _ => Err(FsError::NotDir),
         }
     }
 
-    /// Resolve a path to an inode, following symlinks in non-final
-    /// components and, if `follow_last`, in the final one too.
-    fn resolve(&mut self, path: &FsPath, follow_last: bool) -> FsResult<Ino> {
-        let mut comps: VecDeque<Arc<str>> = path.components().iter().cloned().collect();
-        let mut cur = ROOT_INO;
-        let mut cur_path = FsPath::root();
-        let mut hops: u64 = 0;
-        while let Some(name) = comps.pop_front() {
-            let node = self.inode(cur)?;
-            if !node.attr.is_dir() {
-                return Err(FsError::NotDir);
-            }
-            // x-permission is needed on every directory of the path
-            // (paper §2.3.1).
-            let attr = node.attr;
-            self.check_perm(&attr, false, false, true)?;
-            let probed = self.dir_index(cur)?.lookup(&name);
-            self.cost.dir_probes(probed.probes);
-            self.cost.components(1);
-            let entry = probed.value.ok_or(FsError::NotFound)?;
-            if entry.file_type == FileType::Symlink && (!comps.is_empty() || follow_last) {
-                hops += 1;
-                if hops > SYMLOOP_MAX {
-                    return Err(FsError::SymlinkLoop);
-                }
-                self.cost.symlink_followed();
-                let target = match &self.inode(entry.ino)?.data {
-                    InodeData::Symlink { target } => target.clone(),
-                    _ => return Err(FsError::InvalidArgument),
-                };
-                let tpath = if target.starts_with('/') {
-                    FsPath::parse(&target)?
-                } else {
-                    FsPath::parse(&format!("{cur_path}/{target}"))?
-                };
-                let mut rebuilt: VecDeque<Arc<str>> = tpath.components().iter().cloned().collect();
-                rebuilt.extend(comps.drain(..));
-                comps = rebuilt;
-                cur = ROOT_INO;
-                cur_path = FsPath::root();
-                continue;
-            }
-            cur_path = cur_path.join(&name)?;
-            cur = entry.ino;
-        }
-        Ok(cur)
+    /// Resolve a validated path to an inode, following symlinks in
+    /// non-final components and, if `follow_last`, in the final one too.
+    fn resolve(&mut self, path: &str, follow_last: bool) -> FsResult<Ino> {
+        self.walk(path, Walk::To { follow_last })
     }
 
-    /// Resolve the parent directory of `path`; returns `(dir_ino, name)`.
-    fn resolve_parent(&mut self, path: &FsPath) -> FsResult<(Ino, Arc<str>)> {
-        let name = path
-            .components()
+    /// Resolve the parent directory of a validated path; returns
+    /// `(dir_ino, name)` with `name` borrowed from `path`.
+    fn resolve_parent<'p>(&mut self, path: &'p str) -> FsResult<(Ino, &'p str)> {
+        let name = Components::new(path)
             .last()
-            .cloned()
             .ok_or(FsError::InvalidArgument)?;
-        let parent = path.parent().expect("non-root path has a parent");
-        let dir = self.resolve(&parent, true)?;
+        let dir = self.walk(path, Walk::Parent)?;
         if !self.inode(dir)?.attr.is_dir() {
             return Err(FsError::NotDir);
         }
         Ok((dir, name))
     }
 
-    fn parse(path: &str) -> FsResult<FsPath> {
-        FsPath::parse(path)
+    /// The one resolver. It walks the borrowed components of `path` from
+    /// the root; only crossing a symlink builds an owned path (the
+    /// symlink's target, spliced in front of the components still to
+    /// walk), and the walk restarts on that. Each component is charged
+    /// once, when it is looked up.
+    fn walk(&mut self, path: &str, walk: Walk) -> FsResult<Ino> {
+        let mut hops = 0;
+        let mut step = self.walk_once(path, walk, &mut hops)?;
+        loop {
+            match step {
+                Step::Done(ino) => return Ok(ino),
+                Step::Follow(next) => step = self.walk_once(&next, walk, &mut hops)?,
+            }
+        }
+    }
+
+    /// One pass of [`walk`](MemFs::walk) over `path`, up to its end or to
+    /// the first symlink to follow.
+    fn walk_once(&mut self, path: &str, walk: Walk, hops: &mut u64) -> FsResult<Step> {
+        let mut comps = Components::new(path);
+        let mut cur = ROOT_INO;
+        let mut depth = 0;
+        while let Some(name) = comps.next() {
+            let last = comps.clone().next().is_none();
+            let follow = match walk {
+                Walk::Parent if last => break,
+                Walk::Parent => true,
+                Walk::To { follow_last } => follow_last || !last,
+            };
+            let node = self.inodes.get(cur.0).ok_or(FsError::NotFound)?;
+            let InodeData::Dir { index, .. } = &node.data else {
+                return Err(FsError::NotDir);
+            };
+            // x-permission is needed on every directory of the path
+            // (paper §2.3.1).
+            self.check_perm(&node.attr, false, false, true)?;
+            let probed = index.lookup(name);
+            self.cost.dir_probes(probed.probes);
+            self.cost.components(1);
+            let entry = probed.value.ok_or(FsError::NotFound)?;
+            if entry.file_type == FileType::Symlink && follow {
+                *hops += 1;
+                if *hops > SYMLOOP_MAX {
+                    return Err(FsError::SymlinkLoop);
+                }
+                self.cost.symlink_followed();
+                let InodeData::Symlink { target } = &self.inode(entry.ino)?.data else {
+                    return Err(FsError::InvalidArgument);
+                };
+                // A relative target continues from the directory walked so
+                // far; `..` in the target pops that prefix lexically.
+                let mut next = String::new();
+                if !target.starts_with('/') {
+                    for c in Components::new(path).take(depth) {
+                        next.push('/');
+                        next.push_str(c);
+                    }
+                    next.push('/');
+                }
+                next.push_str(target);
+                crate::path::validate(&next)?;
+                next.push('/');
+                next.push_str(comps.rest());
+                return Ok(Step::Follow(next));
+            }
+            cur = entry.ino;
+            depth += 1;
+        }
+        Ok(Step::Done(cur))
+    }
+
+    /// Validate `path` as [`FsPath::parse`](crate::FsPath::parse) would,
+    /// handing it back.
+    fn parse(path: &str) -> FsResult<&str> {
+        crate::path::validate(path)?;
+        Ok(path)
     }
 
     fn log(&mut self, record: JournalRecord) {
@@ -467,9 +574,9 @@ impl MemFs {
     /// Drop an inode whose last link and last open handle are gone,
     /// returning its blocks to the allocator.
     fn reap(&mut self, ino: Ino) {
-        if let Some(node) = self.inodes.get(&ino.0) {
+        if let Some(node) = self.inodes.get(ino.0) {
             if node.attr.nlink == 0 && node.open_count == 0 {
-                let node = self.inodes.remove(&ino.0).expect("checked above");
+                let node = self.inodes.remove(ino.0).expect("checked above");
                 if let InodeData::Regular { extents, .. } = node.data {
                     let n: u64 = extents.iter().map(|e| e.len).sum();
                     self.allocator.make_mut().free(&extents);
@@ -501,6 +608,10 @@ impl MemFs {
         Ok(probed.value)
     }
 
+    /// Create the inode and its directory entry. The inode number and the
+    /// clock tick are taken only once the entry is in, so a failed create
+    /// (an existing name above all) leaves both untouched. The parent inode
+    /// is looked up once.
     fn create_node(
         &mut self,
         dir: Ino,
@@ -510,29 +621,44 @@ impl MemFs {
         symlink_target: Option<Arc<str>>,
         forced_ino: Option<Ino>,
     ) -> FsResult<Ino> {
-        let dir_attr = self.inode(dir)?.attr;
-        self.check_perm(&dir_attr, false, true, true)?;
+        let table_full = self
+            .config
+            .max_inodes
+            .is_some_and(|max| self.inodes.len() as u64 >= max);
+        let check_perm = self.config.check_permissions;
+        let parent = self.inodes.get_mut(dir.0).ok_or(FsError::NotFound)?;
+        if check_perm && !parent.attr.permits(self.uid, self.gid, false, true, true) {
+            return Err(FsError::PermissionDenied);
+        }
         let ino = match forced_ino {
-            Some(i) => {
-                self.next_ino = self.next_ino.max(i.0 + 1);
-                i
-            }
-            None => self.alloc_ino()?,
+            Some(i) => i,
+            None if table_full => return Err(FsError::NoSpace),
+            None => Ino(self.next_ino),
         };
-        let now = self.tick();
-        self.insert_entry(
-            dir,
-            RawEntry {
-                name,
-                ino,
-                file_type,
-            },
-        )?;
+        let InodeData::Dir { index, .. } = &mut parent.data else {
+            return Err(FsError::NotDir);
+        };
+        let probed = index.make_mut().insert(RawEntry {
+            name,
+            ino,
+            file_type,
+        });
+        self.cost.dir_probes(probed.probes);
+        if !probed.value {
+            return Err(FsError::Exists);
+        }
+        self.next_ino = self.next_ino.max(ino.0 + 1);
+        self.now_ns += 1;
+        let now = self.now_ns;
+        if file_type == FileType::Directory {
+            parent.attr.nlink += 1; // the child's ".."
+        }
+        parent.attr.mtime_ns = now;
         let mut attr = FileAttr::new(ino, file_type, mode, self.uid, self.gid, now);
         let data = match file_type {
             FileType::Regular => InodeData::Regular {
-                data: Arc::new(Vec::new()),
-                extents: Arc::new(Vec::new()),
+                data: self.empty.data.clone(),
+                extents: self.empty.extents.clone(),
             },
             FileType::Directory => InodeData::Dir {
                 index: SharedIndex::new(new_index(self.config.dir_index)),
@@ -550,13 +676,9 @@ impl MemFs {
                 attr,
                 data,
                 open_count: 0,
-                xattrs: Arc::default(),
+                xattrs: self.empty.xattrs.clone(),
             },
         );
-        if file_type == FileType::Directory {
-            self.inode_mut(dir)?.attr.nlink += 1; // the child's ".."
-        }
-        self.inode_mut(dir)?.attr.mtime_ns = now;
         Ok(ino)
     }
 
@@ -672,7 +794,7 @@ impl MemFs {
             }
             JournalRecord::Rmdir { parent, name } => {
                 let entry = self.remove_entry(parent, &name)?;
-                self.inodes.remove(&entry.ino.0);
+                self.inodes.remove(entry.ino.0);
                 let p = self.inode_mut(parent)?;
                 p.attr.nlink = p.attr.nlink.saturating_sub(1);
             }
@@ -690,7 +812,7 @@ impl MemFs {
                 if let Some(old) = self.lookup_entry(to_parent, &entry.name)? {
                     self.remove_entry(to_parent, &entry.name.clone())?;
                     if old.file_type == FileType::Directory {
-                        self.inodes.remove(&old.ino.0);
+                        self.inodes.remove(old.ino.0);
                         let p = self.inode_mut(to_parent)?;
                         p.attr.nlink = p.attr.nlink.saturating_sub(1);
                     } else {
@@ -842,13 +964,13 @@ impl MemFs {
         let mut problems = Vec::new();
         let mut refcount: BTreeMap<u64, u32> = BTreeMap::new();
         let mut subdirs: BTreeMap<u64, u32> = BTreeMap::new();
-        for (ino_num, node) in &self.inodes {
+        for (ino_num, node) in self.inodes.iter_from(0) {
             if let InodeData::Dir { index, parent } = &node.data {
-                if !self.inodes.contains_key(&parent.0) {
+                if !self.inodes.contains(parent.0) {
                     problems.push(format!("dir ino#{ino_num} has dangling parent {parent}"));
                 }
                 for e in index.iter_entries() {
-                    match self.inodes.get(&e.ino.0) {
+                    match self.inodes.get(e.ino.0) {
                         None => problems.push(format!(
                             "entry '{}' in ino#{ino_num} references missing {}",
                             e.name, e.ino
@@ -861,13 +983,13 @@ impl MemFs {
                                 ));
                             }
                             if let InodeData::Dir { parent, .. } = &child.data {
-                                if parent.0 != *ino_num {
+                                if parent.0 != ino_num {
                                     problems.push(format!(
                                         "dir entry '{}' parent pointer mismatch",
                                         e.name
                                     ));
                                 }
-                                *subdirs.entry(*ino_num).or_insert(0) += 1;
+                                *subdirs.entry(ino_num).or_insert(0) += 1;
                             }
                         }
                     }
@@ -876,22 +998,22 @@ impl MemFs {
             }
         }
         let mut used_blocks = 0u64;
-        for (ino_num, node) in &self.inodes {
+        for (ino_num, node) in self.inodes.iter_from(0) {
             let expected = match node.attr.file_type {
-                FileType::Directory => 2 + subdirs.get(ino_num).copied().unwrap_or(0),
-                _ => refcount.get(ino_num).copied().unwrap_or(0),
+                FileType::Directory => 2 + subdirs.get(&ino_num).copied().unwrap_or(0),
+                _ => refcount.get(&ino_num).copied().unwrap_or(0),
             };
             // The root has no entry referencing it; unlinked-but-open files
             // legitimately have nlink 0.
             let actual = node.attr.nlink;
-            let is_root = *ino_num == ROOT_INO.0;
+            let is_root = ino_num == ROOT_INO.0;
             let orphan_open = actual == 0 && node.open_count > 0;
             if !is_root && !orphan_open && actual != expected {
                 problems.push(format!(
                     "ino#{ino_num}: nlink {actual} but {expected} references"
                 ));
             }
-            if !is_root && !refcount.contains_key(ino_num) && node.open_count == 0 {
+            if !is_root && !refcount.contains_key(&ino_num) && node.open_count == 0 {
                 problems.push(format!("ino#{ino_num} is unreferenced (orphan)"));
             }
             used_blocks += node.attr.blocks;
@@ -953,7 +1075,7 @@ impl MemFs {
         let mut report = ScrubReport::default();
         let mut probes = 0u64;
         while (report.scanned as usize) < batch {
-            let Some((&ino_num, node)) = self.inodes.range(scrub.cursor..).next() else {
+            let Some((ino_num, node)) = self.inodes.iter_from(scrub.cursor).next() else {
                 report.wrapped = true;
                 scrub.cursor = 0;
                 scrub.stats.sweeps_completed += 1;
@@ -993,7 +1115,7 @@ impl MemFs {
                     }
                 }
                 InodeData::Dir { index, parent } => {
-                    if !self.inodes.contains_key(&parent.0) {
+                    if !self.inodes.contains(parent.0) {
                         scrub
                             .stats
                             .errors
@@ -1004,7 +1126,7 @@ impl MemFs {
                         scrub.stats.bytes_checksummed += e.name.len() as u64;
                         report.work_units += 1;
                         probes += 1;
-                        match self.inodes.get(&e.ino.0) {
+                        match self.inodes.get(e.ino.0) {
                             None => scrub.stats.errors.push(format!(
                                 "entry '{}' in ino#{ino_num} references missing {}",
                                 e.name, e.ino
@@ -1045,7 +1167,8 @@ impl Vfs for MemFs {
     fn create(&mut self, path: &str) -> FsResult<Fd> {
         self.require_writable()?;
         let p = Self::parse(path)?;
-        let (dir, name) = self.resolve_parent(&p)?;
+        let (dir, name) = self.resolve_parent(p)?;
+        let name: Arc<str> = Arc::from(name);
         let ino = self.create_node(
             dir,
             name.clone(),
@@ -1079,7 +1202,7 @@ impl Vfs for MemFs {
 
     fn open(&mut self, path: &str, flags: OpenFlags) -> FsResult<Fd> {
         let p = Self::parse(path)?;
-        let existing = match self.resolve(&p, true) {
+        let existing = match self.resolve(p, true) {
             Ok(ino) => Some(ino),
             Err(FsError::NotFound) if flags.create => None,
             Err(e) => return Err(e),
@@ -1099,7 +1222,8 @@ impl Vfs for MemFs {
             }
             None => {
                 self.require_writable()?;
-                let (dir, name) = self.resolve_parent(&p)?;
+                let (dir, name) = self.resolve_parent(p)?;
+                let name: Arc<str> = Arc::from(name);
                 let ino = self.create_node(
                     dir,
                     name.clone(),
@@ -1147,7 +1271,9 @@ impl Vfs for MemFs {
         node.open_count -= 1;
         // POSIX: the file is deleted only when the last directory entry is
         // gone AND the last process has closed it (paper §2.3.1).
-        self.reap(of.ino);
+        if node.open_count == 0 && node.attr.nlink == 0 {
+            self.reap(of.ino);
+        }
         self.counters.closes += 1;
         Ok(())
     }
@@ -1236,7 +1362,8 @@ impl Vfs for MemFs {
     fn mkdir(&mut self, path: &str) -> FsResult<()> {
         self.require_writable()?;
         let p = Self::parse(path)?;
-        let (dir, name) = self.resolve_parent(&p)?;
+        let (dir, name) = self.resolve_parent(p)?;
+        let name: Arc<str> = Arc::from(name);
         let ino = self.create_node(
             dir,
             name.clone(),
@@ -1258,11 +1385,11 @@ impl Vfs for MemFs {
     fn rmdir(&mut self, path: &str) -> FsResult<()> {
         self.require_writable()?;
         let p = Self::parse(path)?;
-        if p.is_root() {
+        if Components::new(p).next().is_none() {
             return Err(FsError::NotPermitted);
         }
-        let (dir, name) = self.resolve_parent(&p)?;
-        let entry = self.lookup_entry(dir, &name)?.ok_or(FsError::NotFound)?;
+        let (dir, name) = self.resolve_parent(p)?;
+        let entry = self.lookup_entry(dir, name)?.ok_or(FsError::NotFound)?;
         if entry.file_type != FileType::Directory {
             return Err(FsError::NotDir);
         }
@@ -1271,13 +1398,16 @@ impl Vfs for MemFs {
         }
         let dir_attr = self.inode(dir)?.attr;
         self.check_perm(&dir_attr, false, true, true)?;
-        self.remove_entry(dir, &name)?;
-        self.inodes.remove(&entry.ino.0);
+        self.remove_entry(dir, name)?;
+        self.inodes.remove(entry.ino.0);
         let now = self.tick();
         let parent = self.inode_mut(dir)?;
         parent.attr.nlink -= 1;
         parent.attr.mtime_ns = now;
-        self.log(JournalRecord::Rmdir { parent: dir, name });
+        self.log(JournalRecord::Rmdir {
+            parent: dir,
+            name: entry.name,
+        });
         self.counters.rmdirs += 1;
         Ok(())
     }
@@ -1285,14 +1415,14 @@ impl Vfs for MemFs {
     fn unlink(&mut self, path: &str) -> FsResult<()> {
         self.require_writable()?;
         let p = Self::parse(path)?;
-        let (dir, name) = self.resolve_parent(&p)?;
-        let entry = self.lookup_entry(dir, &name)?.ok_or(FsError::NotFound)?;
+        let (dir, name) = self.resolve_parent(p)?;
+        let entry = self.lookup_entry(dir, name)?.ok_or(FsError::NotFound)?;
         if entry.file_type == FileType::Directory {
             return Err(FsError::IsDir);
         }
         let dir_attr = self.inode(dir)?.attr;
         self.check_perm(&dir_attr, false, true, true)?;
-        self.remove_entry(dir, &name)?;
+        self.remove_entry(dir, name)?;
         let now = self.tick();
         {
             let node = self.inode_mut(entry.ino)?;
@@ -1301,7 +1431,10 @@ impl Vfs for MemFs {
         }
         self.inode_mut(dir)?.attr.mtime_ns = now;
         self.reap(entry.ino);
-        self.log(JournalRecord::Unlink { parent: dir, name });
+        self.log(JournalRecord::Unlink {
+            parent: dir,
+            name: entry.name,
+        });
         self.counters.unlinks += 1;
         Ok(())
     }
@@ -1310,26 +1443,28 @@ impl Vfs for MemFs {
         self.require_writable()?;
         let pf = Self::parse(from)?;
         let pt = Self::parse(to)?;
-        if pf.is_root() || pt.is_root() {
+        if Components::new(pf).next().is_none() || Components::new(pt).next().is_none() {
             return Err(FsError::InvalidArgument);
         }
-        if pf == pt {
+        if Components::new(pf).eq(Components::new(pt)) {
             // renaming a name onto itself is a no-op, but only if it exists
-            let (dir, name) = self.resolve_parent(&pf)?;
-            self.lookup_entry(dir, &name)?.ok_or(FsError::NotFound)?;
+            let (dir, name) = self.resolve_parent(pf)?;
+            self.lookup_entry(dir, name)?.ok_or(FsError::NotFound)?;
             return Ok(());
         }
-        let (from_dir, from_name) = self.resolve_parent(&pf)?;
-        let (to_dir, to_name) = self.resolve_parent(&pt)?;
+        let (from_dir, from_name) = self.resolve_parent(pf)?;
+        let (to_dir, to_name) = self.resolve_parent(pt)?;
         let src = self
-            .lookup_entry(from_dir, &from_name)?
+            .lookup_entry(from_dir, from_name)?
             .ok_or(FsError::NotFound)?;
         let src_is_dir = src.file_type == FileType::Directory;
-        // cannot move a directory into its own subtree
-        if pt.starts_with(&pf) {
+        // cannot move a directory into its own subtree (`to` lexically
+        // under `from`)
+        let mut below = Components::new(pt);
+        if Components::new(pf).all(|c| below.next() == Some(c)) {
             return Err(FsError::InvalidArgument);
         }
-        if let Some(dst) = self.lookup_entry(to_dir, &to_name)? {
+        if let Some(dst) = self.lookup_entry(to_dir, to_name)? {
             if dst.ino == src.ino {
                 return Ok(()); // hardlinks to the same inode: no-op
             }
@@ -1340,19 +1475,20 @@ impl Vfs for MemFs {
                     if !self.dir_index(dst.ino)?.is_empty() {
                         return Err(FsError::NotEmpty);
                     }
-                    self.remove_entry(to_dir, &to_name)?;
-                    self.inodes.remove(&dst.ino.0);
+                    self.remove_entry(to_dir, to_name)?;
+                    self.inodes.remove(dst.ino.0);
                     self.inode_mut(to_dir)?.attr.nlink -= 1;
                 }
                 (false, false) => {
-                    self.remove_entry(to_dir, &to_name)?;
+                    self.remove_entry(to_dir, to_name)?;
                     let node = self.inode_mut(dst.ino)?;
                     node.attr.nlink -= 1;
                     self.reap(dst.ino);
                 }
             }
         }
-        self.remove_entry(from_dir, &from_name)?;
+        self.remove_entry(from_dir, from_name)?;
+        let to_name: Arc<str> = Arc::from(to_name);
         self.insert_entry(
             to_dir,
             RawEntry {
@@ -1373,7 +1509,7 @@ impl Vfs for MemFs {
         self.inode_mut(to_dir)?.attr.mtime_ns = now;
         self.log(JournalRecord::Rename {
             from_parent: from_dir,
-            from_name,
+            from_name: src.name,
             to_parent: to_dir,
             to_name,
         });
@@ -1385,7 +1521,7 @@ impl Vfs for MemFs {
         self.require_writable()?;
         let pe = Self::parse(existing)?;
         let pn = Self::parse(new)?;
-        let ino = self.resolve(&pe, false)?;
+        let ino = self.resolve(pe, false)?;
         let node = self.inode(ino)?;
         if node.attr.is_dir() {
             return Err(FsError::NotPermitted); // no hardlinks to directories
@@ -1394,7 +1530,8 @@ impl Vfs for MemFs {
             return Err(FsError::TooManyLinks);
         }
         let file_type = node.attr.file_type;
-        let (dir, name) = self.resolve_parent(&pn)?;
+        let (dir, name) = self.resolve_parent(pn)?;
+        let name: Arc<str> = Arc::from(name);
         self.insert_entry(
             dir,
             RawEntry {
@@ -1419,7 +1556,8 @@ impl Vfs for MemFs {
     fn symlink(&mut self, target: &str, linkpath: &str) -> FsResult<()> {
         self.require_writable()?;
         let p = Self::parse(linkpath)?;
-        let (dir, name) = self.resolve_parent(&p)?;
+        let (dir, name) = self.resolve_parent(p)?;
+        let name: Arc<str> = Arc::from(name);
         let target: Arc<str> = Arc::from(target);
         let ino = self.create_node(
             dir,
@@ -1443,7 +1581,7 @@ impl Vfs for MemFs {
 
     fn readlink(&mut self, path: &str) -> FsResult<String> {
         let p = Self::parse(path)?;
-        let ino = self.resolve(&p, false)?;
+        let ino = self.resolve(p, false)?;
         match &self.inode(ino)?.data {
             InodeData::Symlink { target } => Ok(target.to_string()),
             _ => Err(FsError::InvalidArgument),
@@ -1452,16 +1590,22 @@ impl Vfs for MemFs {
 
     fn stat(&mut self, path: &str) -> FsResult<FileAttr> {
         let p = Self::parse(path)?;
-        let ino = self.resolve(&p, true)?;
+        let ino = self.resolve(p, true)?;
         self.counters.stats += 1;
         Ok(self.inode(ino)?.attr)
     }
 
     fn lstat(&mut self, path: &str) -> FsResult<FileAttr> {
         let p = Self::parse(path)?;
-        let ino = self.resolve(&p, false)?;
+        let ino = self.resolve(p, false)?;
         self.counters.stats += 1;
         Ok(self.inode(ino)?.attr)
+    }
+
+    fn is_dir(&mut self, path: &str) -> bool {
+        Self::parse(path)
+            .and_then(|p| self.resolve(p, true))
+            .is_ok_and(|ino| self.inode(ino).is_ok_and(|node| node.attr.is_dir()))
     }
 
     fn fstat(&mut self, fd: Fd) -> FsResult<FileAttr> {
@@ -1473,7 +1617,7 @@ impl Vfs for MemFs {
 
     fn readdir(&mut self, path: &str) -> FsResult<Vec<DirEntry>> {
         let p = Self::parse(path)?;
-        let ino = self.resolve(&p, true)?;
+        let ino = self.resolve(p, true)?;
         let node = self.inode(ino)?;
         let attr = node.attr;
         self.check_perm(&attr, true, false, false)?;
@@ -1513,7 +1657,7 @@ impl Vfs for MemFs {
     fn chmod(&mut self, path: &str, mode: Mode) -> FsResult<()> {
         self.require_writable()?;
         let p = Self::parse(path)?;
-        let ino = self.resolve(&p, true)?;
+        let ino = self.resolve(p, true)?;
         let now = self.tick();
         let node = self.inode_mut(ino)?;
         node.attr.mode = mode & 0o7777;
@@ -1532,7 +1676,7 @@ impl Vfs for MemFs {
     fn chown(&mut self, path: &str, uid: u32, gid: u32) -> FsResult<()> {
         self.require_writable()?;
         let p = Self::parse(path)?;
-        let ino = self.resolve(&p, true)?;
+        let ino = self.resolve(p, true)?;
         let now = self.tick();
         let node = self.inode_mut(ino)?;
         node.attr.uid = uid;
@@ -1552,7 +1696,7 @@ impl Vfs for MemFs {
     fn utimes(&mut self, path: &str, atime_ns: u64, mtime_ns: u64) -> FsResult<()> {
         self.require_writable()?;
         let p = Self::parse(path)?;
-        let ino = self.resolve(&p, true)?;
+        let ino = self.resolve(p, true)?;
         let now = self.tick();
         let node = self.inode_mut(ino)?;
         node.attr.atime_ns = atime_ns;
@@ -1572,7 +1716,7 @@ impl Vfs for MemFs {
     fn truncate(&mut self, path: &str, size: u64) -> FsResult<()> {
         self.require_writable()?;
         let p = Self::parse(path)?;
-        let ino = self.resolve(&p, true)?;
+        let ino = self.resolve(p, true)?;
         if self.inode(ino)?.attr.is_dir() {
             return Err(FsError::IsDir);
         }
@@ -1602,13 +1746,13 @@ impl Vfs for MemFs {
 
     fn listxattr(&mut self, path: &str) -> FsResult<Vec<String>> {
         let p = Self::parse(path)?;
-        let ino = self.resolve(&p, true)?;
+        let ino = self.resolve(p, true)?;
         Ok(self.inode(ino)?.xattrs.keys().cloned().collect())
     }
 
     fn getxattr(&mut self, path: &str, key: &str) -> FsResult<Vec<u8>> {
         let p = Self::parse(path)?;
-        let ino = self.resolve(&p, true)?;
+        let ino = self.resolve(p, true)?;
         self.inode(ino)?
             .xattrs
             .get(key)
@@ -1619,7 +1763,7 @@ impl Vfs for MemFs {
     fn setxattr(&mut self, path: &str, key: &str, value: &[u8]) -> FsResult<()> {
         self.require_writable()?;
         let p = Self::parse(path)?;
-        let ino = self.resolve(&p, true)?;
+        let ino = self.resolve(p, true)?;
         let now = self.tick();
         let node = self.inode_mut(ino)?;
         Arc::make_mut(&mut node.xattrs).insert(key.to_owned(), value.to_vec());
@@ -1636,7 +1780,7 @@ impl Vfs for MemFs {
     fn removexattr(&mut self, path: &str, key: &str) -> FsResult<()> {
         self.require_writable()?;
         let p = Self::parse(path)?;
-        let ino = self.resolve(&p, true)?;
+        let ino = self.resolve(p, true)?;
         let now = self.tick();
         let node = self.inode_mut(ino)?;
         if Arc::make_mut(&mut node.xattrs).remove(key).is_none() {
@@ -2059,6 +2203,21 @@ mod tests {
     }
 
     #[test]
+    fn failed_creates_take_no_inode_number_or_clock_tick() {
+        let mut f = fs();
+        f.mkdir("/d").unwrap();
+        let d = f.stat("/d").unwrap();
+        assert_eq!(f.mkdir("/d").unwrap_err(), FsError::Exists);
+        assert_eq!(f.create("/d").unwrap_err(), FsError::Exists);
+        assert_eq!(f.symlink("/x", "/d").unwrap_err(), FsError::Exists);
+        let fd = f.create("/f").unwrap();
+        f.close(fd).unwrap();
+        let st = f.stat("/f").unwrap();
+        assert_eq!(st.ino.0, d.ino.0 + 1, "the next inode number");
+        assert_eq!(st.mtime_ns, d.mtime_ns + 1, "the next clock tick");
+    }
+
+    #[test]
     fn max_inodes_enforced() {
         let mut cfg = MemFsConfig::default();
         cfg.max_inodes = Some(3); // root + 2
@@ -2201,6 +2360,121 @@ mod tests {
         f.setxattr("/a", "user.size", b"43").unwrap();
         assert_eq!(f.getxattr("/a", "user.size").unwrap(), b"43");
         assert_eq!(f.listxattr("/a").unwrap().len(), 1);
+    }
+
+    /// The resolver's outcome and its charged work, pinned path by path: the
+    /// result (inode and type) or error, then `dir_probes`,
+    /// `components_resolved` and `symlinks_followed`. A linear index makes
+    /// each probe count the entry's position, so a component charged twice
+    /// or out of order shows.
+    #[test]
+    fn resolution_table_is_pinned() {
+        let mut cfg = MemFsConfig::default();
+        cfg.dir_index = DirIndexKind::Linear;
+        let mut f = MemFs::with_config(cfg);
+        for d in ["/a", "/a/b", "/a/b/c", "/a/b/c/d", "/a/b/c/d/e"] {
+            f.mkdir(d).unwrap();
+        }
+        for file in ["/a/b/c/d/e/leaf", "/f"] {
+            let fd = f.create(file).unwrap();
+            f.close(fd).unwrap();
+        }
+        for (target, link) in [
+            ("/a/b", "/abs"),
+            ("b/c", "/a/rel"),
+            ("/chain2", "/chain1"),
+            ("/a/rel", "/chain2"),
+            ("/loop", "/loop"),
+            ("/nowhere", "/dang"),
+            ("../f", "/a/up"),
+        ] {
+            f.symlink(target, link).unwrap();
+        }
+        let long = "x".repeat(crate::NAME_MAX + 1);
+        let rows: Vec<(&str, String)> = vec![
+            ("stat", "/a/b/c/d/e/leaf".into()),
+            ("stat", "//a/./b//c/".into()),
+            ("stat", "/..".into()),
+            ("stat", "/../a/b/../b/c".into()),
+            ("stat", "/a/zz/../b".into()),
+            ("stat", "/abs/c/d".into()),
+            ("stat", "/abs/../f".into()),
+            ("stat", "/a/rel/d".into()),
+            ("stat", "/chain1/d/e/leaf".into()),
+            ("stat", "/a/up".into()),
+            ("lstat", "/abs".into()),
+            ("lstat", "/chain1".into()),
+            ("stat", "/loop".into()),
+            ("stat", "/loop/x".into()),
+            ("stat", "/f/x".into()),
+            ("stat", "/a/missing/x".into()),
+            ("stat", "/dang".into()),
+            ("lstat", "/dang".into()),
+            ("stat", format!("/a/{long}")),
+            ("stat", format!("/missing/{long}")),
+            ("stat", "/a/b\0c".into()),
+            ("stat", "/nope/x\0".into()),
+            ("stat", String::new()),
+            ("mkdir", "/abs/c".into()),
+            ("mkdir", "/a/rel/d/e".into()),
+            ("mkdir", "/dang/x".into()),
+            ("mkdir", "/f/x".into()),
+            ("mkdir", "/".into()),
+        ];
+        let got: Vec<String> = rows
+            .iter()
+            .map(|(op, path)| {
+                f.take_cost();
+                let outcome = match *op {
+                    "stat" => f.stat(path).map(|a| format!("{} {:?}", a.ino, a.file_type)),
+                    "lstat" => f
+                        .lstat(path)
+                        .map(|a| format!("{} {:?}", a.ino, a.file_type)),
+                    _ => f.mkdir(path).map(|()| "made".to_owned()),
+                };
+                let c = f.take_cost();
+                let shown = path.replace('\0', "\\0").replace(&long, "<NAME_MAX+1>");
+                let outcome = match outcome {
+                    Ok(v) => v,
+                    Err(e) => format!("{e:?}"),
+                };
+                format!(
+                    "{op} {shown} -> {outcome} p={} c={} s={}",
+                    c.dir_probes, c.components_resolved, c.symlinks_followed
+                )
+            })
+            .collect();
+        let want = [
+            "stat /a/b/c/d/e/leaf -> ino#7 Regular p=6 c=6 s=0",
+            "stat //a/./b//c/ -> ino#4 Directory p=3 c=3 s=0",
+            "stat /.. -> ino#1 Directory p=0 c=0 s=0",
+            "stat /../a/b/../b/c -> ino#4 Directory p=3 c=3 s=0",
+            "stat /a/zz/../b -> ino#3 Directory p=2 c=2 s=0",
+            "stat /abs/c/d -> ino#5 Directory p=7 c=5 s=1",
+            "stat /abs/../f -> ino#8 Regular p=2 c=1 s=0",
+            "stat /a/rel/d -> ino#5 Directory p=7 c=6 s=1",
+            "stat /chain1/d/e/leaf -> ino#7 Regular p=18 c=10 s=3",
+            "stat /a/up -> ino#8 Regular p=6 c=3 s=1",
+            "lstat /abs -> ino#9 Symlink p=3 c=1 s=0",
+            "lstat /chain1 -> ino#11 Symlink p=4 c=1 s=0",
+            "stat /loop -> SymlinkLoop p=246 c=41 s=40",
+            "stat /loop/x -> SymlinkLoop p=246 c=41 s=40",
+            "stat /f/x -> NotDir p=2 c=1 s=0",
+            "stat /a/missing/x -> NotFound p=4 c=2 s=0",
+            "stat /dang -> NotFound p=14 c=2 s=1",
+            "lstat /dang -> ino#14 Symlink p=7 c=1 s=0",
+            "stat /a/<NAME_MAX+1> -> NameTooLong p=0 c=0 s=0",
+            "stat /missing/<NAME_MAX+1> -> NameTooLong p=0 c=0 s=0",
+            "stat /a/b\\0c -> InvalidArgument p=0 c=0 s=0",
+            "stat /nope/x\\0 -> InvalidArgument p=0 c=0 s=0",
+            "stat  -> InvalidArgument p=0 c=0 s=0",
+            "mkdir /abs/c -> Exists p=6 c=3 s=1",
+            "mkdir /a/rel/d/e -> Exists p=8 c=6 s=1",
+            "mkdir /dang/x -> NotFound p=14 c=2 s=1",
+            "mkdir /f/x -> NotDir p=2 c=1 s=0",
+            "mkdir / -> InvalidArgument p=0 c=0 s=0",
+        ];
+        assert_eq!(got, want, "\n{}", got.join("\n"));
     }
 
     #[test]

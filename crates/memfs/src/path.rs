@@ -15,10 +15,10 @@ pub const NAME_MAX: usize = 255;
 
 /// A parsed, normalized absolute path.
 ///
-/// Components are interned behind `Arc<str>` so that handing a component to
-/// a directory entry, journal record or resolver stack frame is a refcount
-/// bump, not a string copy — path resolution is the hottest metadata path in
-/// the simulation.
+/// Components are interned behind `Arc<str>`, so handing one on is a
+/// refcount bump, not a string copy. `MemFs` does not build one per
+/// operation: its resolver walks the borrowed components of the path
+/// string with the same validation and the same lexical `.`/`..` rules.
 ///
 /// # Example
 ///
@@ -54,28 +54,10 @@ impl FsPath {
     ///   contains a NUL byte,
     /// * [`FsError::NameTooLong`] if a component exceeds [`NAME_MAX`].
     pub fn parse(path: &str) -> FsResult<Self> {
-        if path.is_empty() {
-            return Err(FsError::InvalidArgument);
-        }
-        let mut components: Vec<Arc<str>> = Vec::new();
-        for comp in path.split('/') {
-            match comp {
-                "" | "." => {}
-                ".." => {
-                    components.pop();
-                }
-                name => {
-                    if name.len() > NAME_MAX {
-                        return Err(FsError::NameTooLong);
-                    }
-                    if name.contains('\0') {
-                        return Err(FsError::InvalidArgument);
-                    }
-                    components.push(Arc::from(name));
-                }
-            }
-        }
-        Ok(FsPath { components })
+        validate(path)?;
+        Ok(FsPath {
+            components: Components::new(path).map(Arc::from).collect(),
+        })
     }
 
     /// The normalized components, root-first. Cloning a component is a
@@ -132,6 +114,87 @@ impl FsPath {
     pub fn starts_with(&self, other: &FsPath) -> bool {
         self.components.len() >= other.components.len()
             && self.components[..other.components.len()] == other.components[..]
+    }
+}
+
+/// Check every name component of `path` as [`FsPath::parse`] does, first
+/// bad component first, without building anything.
+pub(crate) fn validate(path: &str) -> FsResult<()> {
+    if path.is_empty() {
+        return Err(FsError::InvalidArgument);
+    }
+    for name in path.split('/') {
+        if matches!(name, "" | "." | "..") {
+            continue;
+        }
+        if name.len() > NAME_MAX {
+            return Err(FsError::NameTooLong);
+        }
+        if name.contains('\0') {
+            return Err(FsError::InvalidArgument);
+        }
+    }
+    Ok(())
+}
+
+/// The lexically normalized components of a path string, borrowed from it,
+/// root-first: empty and `.` components are skipped, and a name that a
+/// later `..` pops is never yielded (`..` at the root stays at the root).
+///
+/// A name is yielded only once the rest of the path is known not to pop
+/// it, so no stack is needed; a path without `..` skips that look-ahead.
+#[derive(Debug, Clone)]
+pub(crate) struct Components<'a> {
+    rest: &'a str,
+    has_dotdot: bool,
+}
+
+impl<'a> Components<'a> {
+    pub(crate) fn new(path: &'a str) -> Self {
+        Components {
+            rest: path,
+            has_dotdot: path.split('/').any(|c| c == ".."),
+        }
+    }
+
+    /// The raw text after the last component yielded. Its `..`s never pop
+    /// that component or anything before it.
+    pub(crate) fn rest(&self) -> &'a str {
+        self.rest
+    }
+
+    /// `true` if a `..` in `rest` pops the name just before it.
+    fn popped(rest: &str) -> bool {
+        let mut above = 0u32;
+        for comp in rest.split('/') {
+            match comp {
+                "" | "." => {}
+                ".." if above == 0 => return true,
+                ".." => above -= 1,
+                _ => above += 1,
+            }
+        }
+        false
+    }
+}
+
+impl<'a> Iterator for Components<'a> {
+    type Item = &'a str;
+
+    fn next(&mut self) -> Option<&'a str> {
+        while !self.rest.is_empty() {
+            let (comp, rest) = self.rest.split_once('/').unwrap_or((self.rest, ""));
+            self.rest = rest;
+            // A `..` met here pops a name already skipped, or the root.
+            if matches!(comp, "" | "." | "..") {
+                continue;
+            }
+            if self.has_dotdot && Self::popped(rest) {
+                continue;
+            }
+            return Some(comp);
+        }
+        None
     }
 }
 
@@ -219,6 +282,21 @@ mod tests {
         assert!(!b.starts_with(&a));
         let d = FsPath::parse("/a/bb").unwrap();
         assert!(!d.starts_with(&b));
+    }
+
+    #[test]
+    fn components_normalize_lexically() {
+        let norm = |p: &str| Components::new(p).collect::<Vec<_>>().join("/");
+        assert_eq!(norm("/a/b/c"), "a/b/c");
+        assert_eq!(norm("//a/./b//"), "a/b");
+        assert_eq!(norm("/a/b/../c"), "a/c");
+        assert_eq!(norm("/a/b/x/../../c/.."), "a");
+        assert_eq!(norm("/../a/../../b"), "b");
+        assert_eq!(norm("/a/b/c/../../.."), "");
+        assert_eq!(norm("/"), "");
+        let mut c = Components::new("/a/../b/c/x/..");
+        assert_eq!(c.next(), Some("b"));
+        assert_eq!(c.rest(), "c/x/..");
     }
 
     #[test]

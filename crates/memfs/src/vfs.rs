@@ -121,6 +121,12 @@ pub trait Vfs: Send {
     fn stat(&mut self, path: &str) -> FsResult<FileAttr>;
     /// `lstat()` — does not follow the final symlink.
     fn lstat(&mut self, path: &str) -> FsResult<FileAttr>;
+    /// `true` if `path` resolves (following symlinks) to a directory. A
+    /// probe for callers that prepare a namespace, not a benchmarked
+    /// operation: backends that count operations do not count it.
+    fn is_dir(&mut self, path: &str) -> bool {
+        self.stat(path).is_ok_and(|attr| attr.is_dir())
+    }
     /// `fstat()` on an open handle.
     fn fstat(&mut self, fd: Fd) -> FsResult<FileAttr>;
     /// List a directory (includes `.` and `..` where the backend provides
@@ -379,10 +385,14 @@ impl Vfs for StdFs {
     fn symlink(&mut self, target: &str, linkpath: &str) -> FsResult<()> {
         #[cfg(unix)]
         {
-            Ok(std::os::unix::fs::symlink(
-                target,
-                self.host_path(linkpath)?,
-            )?)
+            // An absolute target names a path inside the jail, as it does
+            // on `MemFs`; stored verbatim it would point out of the jail.
+            let link = self.host_path(linkpath)?;
+            if target.starts_with('/') {
+                Ok(std::os::unix::fs::symlink(self.host_path(target)?, link)?)
+            } else {
+                Ok(std::os::unix::fs::symlink(target, link)?)
+            }
         }
         #[cfg(not(unix))]
         {
@@ -393,7 +403,12 @@ impl Vfs for StdFs {
 
     fn readlink(&mut self, path: &str) -> FsResult<String> {
         let t = fs::read_link(self.host_path(path)?)?;
-        Ok(t.to_string_lossy().into_owned())
+        // An absolute target was stored under the jail root: hand back the
+        // jail-relative path `symlink` was given (lexically normalized).
+        match t.strip_prefix(&self.root) {
+            Ok(inside) if t.is_absolute() => Ok(format!("/{}", inside.to_string_lossy())),
+            _ => Ok(t.to_string_lossy().into_owned()),
+        }
     }
 
     fn stat(&mut self, path: &str) -> FsResult<FileAttr> {

@@ -147,6 +147,11 @@ enum FsOp {
     WriteGrow(u8, u16),
     Truncate(u8, u16),
     Stat(u8),
+    Symlink(u8, u8),
+    UnlinkLink(u8),
+    StatLink(u8),
+    StatThrough(u8, u8),
+    CreateThrough(u8, u8),
 }
 
 fn fs_op() -> impl Strategy<Value = FsOp> {
@@ -160,6 +165,11 @@ fn fs_op() -> impl Strategy<Value = FsOp> {
         (0u8..30, 0u16..20_000).prop_map(|(a, n)| FsOp::WriteGrow(a, n)),
         (0u8..30, 0u16..20_000).prop_map(|(a, n)| FsOp::Truncate(a, n)),
         (0u8..30).prop_map(FsOp::Stat),
+        (0u8..36, 0u8..12).prop_map(|(t, l)| FsOp::Symlink(t, l)),
+        (0u8..12).prop_map(FsOp::UnlinkLink),
+        (0u8..12).prop_map(FsOp::StatLink),
+        (0u8..12, 0u8..30).prop_map(|(l, n)| FsOp::StatThrough(l, n)),
+        (0u8..12, 0u8..30).prop_map(|(l, n)| FsOp::CreateThrough(l, n)),
     ]
 }
 
@@ -176,6 +186,31 @@ fn file(n: u8) -> String {
 
 fn dir(n: u8) -> String {
     format!("/d{n}")
+}
+
+/// Where generated symlink `n` lives: even links sit in the root, odd ones
+/// inside a generated directory (which may be missing).
+fn link(n: u8) -> String {
+    if n.is_multiple_of(2) {
+        format!("/s{n}")
+    } else {
+        format!("/d{}/s{n}", n % 8)
+    }
+}
+
+/// What generated symlink target `n` names: absolute and relative
+/// directories and files, a name that never exists, and other links
+/// (chains, and loops when a link names itself). No target holds `..`:
+/// `MemFs` resolves `..` lexically, the kernel physically.
+fn target(n: u8) -> String {
+    match n % 6 {
+        0 => dir(n % 8),
+        1 => format!("d{}", n % 8),
+        2 => file(n % 30),
+        3 => format!("f{}", n % 30),
+        4 => format!("/nowhere{n}"),
+        _ => link(n % 12),
+    }
 }
 
 /// Apply one generated op through the backend-neutral [`Vfs`] interface.
@@ -195,6 +230,13 @@ fn apply(fs: &mut impl Vfs, op: &FsOp) -> Result<(), FsError> {
         }
         FsOp::Truncate(n, size) => fs.truncate(&file(*n), u64::from(*size)),
         FsOp::Stat(n) => fs.stat(&file(*n)).map(|_| ()),
+        FsOp::Symlink(t, l) => fs.symlink(&target(*t), &link(*l)),
+        FsOp::UnlinkLink(l) => fs.unlink(&link(*l)),
+        FsOp::StatLink(l) => fs.stat(&link(*l)).map(|_| ()),
+        FsOp::StatThrough(l, n) => fs.stat(&format!("{}/f{n}", link(*l))).map(|_| ()),
+        FsOp::CreateThrough(l, n) => fs
+            .create(&format!("{}/f{n}", link(*l)))
+            .and_then(|fd| fs.close(fd)),
     }
 }
 
@@ -263,10 +305,18 @@ proptest! {
         let p2 = FsPath::parse(&p1.to_string()).unwrap();
         prop_assert_eq!(p1, p2);
     }
+}
+
+proptest! {
+    // A symlink op only exercises resolution once its link meets an
+    // existing target, which 64 sequences rarely reach; 256 still run in
+    // well under a second.
+    #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// MemFs and StdFs agree on the outcome (error kind included) of every
     /// generated op and, at the end, on the existence, size and link count
-    /// of every generated name (cross-backend differential test).
+    /// of every generated name and on the type and target of every
+    /// generated symlink (cross-backend differential test).
     #[test]
     fn memfs_matches_stdfs(ops in prop::collection::vec(fs_op(), 1..40)) {
         let tmp = std::env::temp_dir().join(format!(
@@ -299,6 +349,19 @@ proptest! {
                 prop_assert_eq!((a.size, a.nlink), (b.size, b.nlink), "size/nlink of {}", file(n));
             }
         }
+        for n in 0..12 {
+            let (a, b) = (mem.lstat(&link(n)), real.lstat(&link(n)));
+            prop_assert_eq!(
+                a.as_ref().map(|a| a.file_type).ok(),
+                b.as_ref().map(|b| b.file_type).ok(),
+                "{} lstat: mem={:?} real={:?}",
+                link(n),
+                a,
+                b
+            );
+            let (a, b) = (mem.readlink(&link(n)), real.readlink(&link(n)));
+            prop_assert_eq!(&a, &b, "{} readlink", link(n));
+        }
         let _ = std::fs::remove_dir_all(&tmp);
     }
 }
@@ -327,6 +390,26 @@ fn memfs_matches_stdfs_on_rename_and_link_edges() {
     let real = run(&mut memfs::StdFs::new(&tmp).unwrap());
     let _ = std::fs::remove_dir_all(&tmp);
     assert_eq!(run(&mut MemFs::new()), real);
+}
+
+/// A known divergence, pinned so that closing it is a deliberate change:
+/// `open(O_CREAT)` without `O_EXCL` through a dangling symlink makes the
+/// link's target on a kernel file system, while `MemFs` answers `Exists`.
+#[test]
+fn open_create_through_dangling_symlink_diverges() {
+    fn run(fs: &mut impl Vfs) -> (Result<(), FsError>, bool) {
+        fs.symlink("/target", "/s").unwrap();
+        let opened = fs
+            .open("/s", memfs::OpenFlags::write_create())
+            .and_then(|fd| fs.close(fd));
+        (opened, fs.stat("/target").is_ok())
+    }
+    let tmp = std::env::temp_dir().join(format!("memfs-dangling-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&tmp);
+    let real = run(&mut memfs::StdFs::new(&tmp).unwrap());
+    let _ = std::fs::remove_dir_all(&tmp);
+    assert_eq!(real, (Ok(()), true));
+    assert_eq!(run(&mut MemFs::new()), (Err(FsError::Exists), false));
 }
 
 fn rand_suffix(ops: &[FsOp]) -> u64 {

@@ -15,6 +15,11 @@
 //! simulated second). N is 256k ops, so an allocation the 2N run still
 //! makes is a cost that recurs, not a warm-up.
 //!
+//! The memfs op path underneath every model is pinned the same way: after
+//! warm-up a `stat` allocates nothing, a `create`+`close` at most two
+//! on average (the new entry's name, and the directory index's growth),
+//! and `apply_meta_op` adds next to nothing on top when the parents exist.
+//!
 //! This binary has its own counting `#[global_allocator]`. It counts per
 //! thread, and an unpartitioned run executes on the calling thread, so the
 //! test harness's other threads cannot disturb the count.
@@ -23,8 +28,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use cluster::{run_sim, Disturbance, OpStream, SimConfig, WorkerSpec};
-use dfs::{ClientCtx, DistFs, FsResources, MetaOp, OpPlan, ServerId, ServerSpec, Stage};
-use memfs::FsResult;
+use dfs::{
+    apply_meta_op, ClientCtx, DistFs, FsResources, MetaOp, OpPlan, ServerId, ServerSpec, Stage,
+};
+use memfs::{FsResult, MemFs, Vfs};
 use simcore::{DetRng, SimDuration, SimTime};
 
 thread_local! {
@@ -162,5 +169,77 @@ fn delivered_events_allocate_nothing_after_warm_up() {
         "a run of {done_2n} ops made {two_n} allocations against {n} for {done_n} ops: \
          the {} extra allocations are a cost per delivered event",
         two_n.saturating_sub(n)
+    );
+}
+
+/// Allocations `f` makes on this thread.
+fn allocs_of(f: impl FnOnce()) -> u64 {
+    let before = ALLOCS.with(Cell::get);
+    f();
+    ALLOCS.with(Cell::get) - before
+}
+
+/// Ops per memfs kernel in the counted phase.
+const MEMFS_OPS: u64 = 10_000;
+
+#[test]
+fn memfs_op_path_allocations_are_bounded() {
+    let mut fs = MemFs::new();
+    for dir in ["/a", "/a/b", "/a/b/c", "/a/b/c/d", "/w"] {
+        fs.mkdir(dir).unwrap();
+    }
+    let fd = fs.create("/a/b/c/d/leaf").unwrap();
+    fs.close(fd).unwrap();
+    fs.stat("/a/b/c/d/leaf").unwrap();
+    let stats = allocs_of(|| {
+        for _ in 0..MEMFS_OPS {
+            std::hint::black_box(fs.stat("/a/b/c/d/leaf").unwrap());
+        }
+    });
+    assert_eq!(
+        stats, 0,
+        "{MEMFS_OPS} depth-5 stats made {stats} allocations"
+    );
+
+    // Paths are formatted before counting; the first half is the warm-up.
+    let paths: Vec<String> = (0..2 * MEMFS_OPS).map(|i| format!("/w/f{i}")).collect();
+    let (warm, counted) = paths.split_at(MEMFS_OPS as usize);
+    for p in warm {
+        let fd = fs.create(p).unwrap();
+        fs.close(fd).unwrap();
+    }
+    let creates = allocs_of(|| {
+        for p in counted {
+            let fd = fs.create(p).unwrap();
+            fs.close(fd).unwrap();
+        }
+    });
+    let per_op = creates as f64 / MEMFS_OPS as f64;
+    assert!(
+        per_op <= 2.0,
+        "create+close made {per_op:.2} allocations per op ({creates} for {MEMFS_OPS})"
+    );
+
+    // The `smp_create` shape: depth 4 into parents that already exist.
+    let ops: Vec<MetaOp> = (0..2 * MEMFS_OPS)
+        .map(|i| MetaOp::Create {
+            path: format!("/bench/n0p0/sub0/f{i}"),
+            data_bytes: 0,
+        })
+        .collect();
+    let (warm, counted) = ops.split_at(MEMFS_OPS as usize);
+    let mut fs = MemFs::new();
+    for op in warm {
+        apply_meta_op(&mut fs, op).unwrap();
+    }
+    let applied = allocs_of(|| {
+        for op in counted {
+            apply_meta_op(&mut fs, op).unwrap();
+        }
+    });
+    let per_op = applied as f64 / MEMFS_OPS as f64;
+    assert!(
+        per_op <= 3.0,
+        "apply_meta_op Create made {per_op:.2} allocations per op ({applied} for {MEMFS_OPS})"
     );
 }
