@@ -19,7 +19,8 @@
 //!   client domain converts a `NetDelay → Server(remote) → NetDelay` stage
 //!   triple into a request message that lands on the server domain one
 //!   network latency later (≥ the lookahead, by construction), and the reply
-//!   message resumes the worker the same way.
+//!   message resumes the worker the same way. When the run ends, the domain
+//!   replicas go back to the caller's model through [`DistFs::rejoin`].
 //!
 //! # Determinism
 //!
@@ -1117,7 +1118,7 @@ pub(crate) fn run(
     let models: Vec<&mut dyn DistFs> = if partitioned {
         replicas.iter_mut().map(|m| &mut **m as _).collect()
     } else {
-        vec![model]
+        vec![&mut *model]
     };
     let domains = models.len();
 
@@ -1296,6 +1297,9 @@ pub(crate) fn run(
                 failovers: st.failovers,
             });
         }
+    }
+    if partitioned {
+        model.rejoin(replicas, &node_domain);
     }
     SimRunResult {
         fs_name,

@@ -227,85 +227,90 @@ pub fn hostname() -> String {
 mod tests {
     use super::*;
     use memfs::{MemFs, OpenFlags};
-    use parking_lot::Mutex;
+    use std::sync::{Mutex, MutexGuard};
 
     #[test]
     fn threaded_run_on_shared_memfs() {
         // Workers share one MemFs behind a mutex adapter.
         #[derive(Debug)]
         struct Shared(Arc<Mutex<MemFs>>, String);
+        impl Shared {
+            fn fs(&self) -> MutexGuard<'_, MemFs> {
+                self.0.lock().expect("no worker panicked holding the lock")
+            }
+        }
         impl Vfs for Shared {
             fn create(&mut self, p: &str) -> memfs::FsResult<memfs::Fd> {
-                self.0.lock().create(p)
+                self.fs().create(p)
             }
             fn open(&mut self, p: &str, f: OpenFlags) -> memfs::FsResult<memfs::Fd> {
-                self.0.lock().open(p, f)
+                self.fs().open(p, f)
             }
             fn close(&mut self, fd: memfs::Fd) -> memfs::FsResult<()> {
-                self.0.lock().close(fd)
+                self.fs().close(fd)
             }
             fn write(&mut self, fd: memfs::Fd, b: &[u8]) -> memfs::FsResult<usize> {
-                self.0.lock().write(fd, b)
+                self.fs().write(fd, b)
             }
             fn read(&mut self, fd: memfs::Fd, l: usize) -> memfs::FsResult<Vec<u8>> {
-                self.0.lock().read(fd, l)
+                self.fs().read(fd, l)
             }
             fn seek(&mut self, fd: memfs::Fd, p: u64) -> memfs::FsResult<u64> {
-                self.0.lock().seek(fd, p)
+                self.fs().seek(fd, p)
             }
             fn mkdir(&mut self, p: &str) -> memfs::FsResult<()> {
-                self.0.lock().mkdir(p)
+                self.fs().mkdir(p)
             }
             fn rmdir(&mut self, p: &str) -> memfs::FsResult<()> {
-                self.0.lock().rmdir(p)
+                self.fs().rmdir(p)
             }
             fn unlink(&mut self, p: &str) -> memfs::FsResult<()> {
-                self.0.lock().unlink(p)
+                self.fs().unlink(p)
             }
             fn rename(&mut self, f: &str, t: &str) -> memfs::FsResult<()> {
-                self.0.lock().rename(f, t)
+                self.fs().rename(f, t)
             }
             fn link(&mut self, e: &str, n: &str) -> memfs::FsResult<()> {
-                self.0.lock().link(e, n)
+                self.fs().link(e, n)
             }
             fn symlink(&mut self, t: &str, l: &str) -> memfs::FsResult<()> {
-                self.0.lock().symlink(t, l)
+                self.fs().symlink(t, l)
             }
             fn readlink(&mut self, p: &str) -> memfs::FsResult<String> {
-                self.0.lock().readlink(p)
+                self.fs().readlink(p)
             }
             fn stat(&mut self, p: &str) -> memfs::FsResult<memfs::FileAttr> {
-                self.0.lock().stat(p)
+                self.fs().stat(p)
             }
             fn lstat(&mut self, p: &str) -> memfs::FsResult<memfs::FileAttr> {
-                self.0.lock().lstat(p)
+                self.fs().lstat(p)
             }
             fn fstat(&mut self, fd: memfs::Fd) -> memfs::FsResult<memfs::FileAttr> {
-                self.0.lock().fstat(fd)
+                self.fs().fstat(fd)
             }
             fn readdir(&mut self, p: &str) -> memfs::FsResult<Vec<memfs::DirEntry>> {
-                self.0.lock().readdir(p)
+                self.fs().readdir(p)
             }
             fn chmod(&mut self, p: &str, m: u32) -> memfs::FsResult<()> {
-                self.0.lock().chmod(p, m)
+                self.fs().chmod(p, m)
             }
             fn chown(&mut self, p: &str, u: u32, g: u32) -> memfs::FsResult<()> {
-                self.0.lock().chown(p, u, g)
+                self.fs().chown(p, u, g)
             }
             fn utimes(&mut self, p: &str, a: u64, m: u64) -> memfs::FsResult<()> {
-                self.0.lock().utimes(p, a, m)
+                self.fs().utimes(p, a, m)
             }
             fn truncate(&mut self, p: &str, s: u64) -> memfs::FsResult<()> {
-                self.0.lock().truncate(p, s)
+                self.fs().truncate(p, s)
             }
             fn fsync(&mut self, fd: memfs::Fd) -> memfs::FsResult<()> {
-                self.0.lock().fsync(fd)
+                self.fs().fsync(fd)
             }
             fn drop_caches(&mut self) -> memfs::FsResult<()> {
                 Ok(())
             }
             fn fs_stats(&mut self) -> memfs::FsResult<memfs::FsStats> {
-                Ok(self.0.lock().stats())
+                Ok(self.fs().stats())
             }
             fn name(&self) -> &str {
                 &self.1
@@ -314,7 +319,7 @@ mod tests {
 
         let fs = Arc::new(Mutex::new(MemFs::new()));
         {
-            let mut g = fs.lock();
+            let mut g = fs.lock().unwrap();
             for w in 0..4 {
                 g.mkdir(&format!("/w{w}")).unwrap();
             }
@@ -347,7 +352,7 @@ mod tests {
             assert_eq!(w.errors, 0);
             assert!(w.finished_at.is_some());
         }
-        assert!(fs.lock().check().is_empty());
+        assert!(fs.lock().unwrap().check().is_empty());
     }
 
     #[test]

@@ -10,6 +10,7 @@ use crate::op::MetaOp;
 use memfs::FsResult;
 use simcore::telemetry::CacheTag;
 use simcore::{DetRng, SimDuration, SimTime};
+use std::any::Any;
 
 /// Index of a server-side queueing resource declared in [`FsResources`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -252,7 +253,9 @@ pub struct PartitionPlan {
     /// [`DistFs::plan_into`] for clients in domain `d` only; correctness
     /// requires that its answers for those clients match what the unsplit
     /// model would have produced (i.e. client-visible model state must
-    /// already be per-node/per-server along the domain boundaries).
+    /// already be per-node/per-server along the domain boundaries). Replicas
+    /// share no state with each other: domains plan on different threads.
+    /// After the run the engine hands them back through [`DistFs::rejoin`].
     pub models: Vec<Box<dyn DistFs>>,
     /// Conservative lookahead: a lower bound on the virtual-time distance
     /// of any cross-domain interaction (for network-shaped models, the
@@ -274,7 +277,10 @@ impl PartitionPlan {
 /// server-side [`MemFs`](memfs::MemFs) state (so directory sizes, allocation
 /// and uniqueness checks are real) and return the *performance* structure as
 /// an [`OpPlan`].
-pub trait DistFs: Send {
+///
+/// The `Any` supertrait lets [`DistFs::rejoin`] downcast the replicas a
+/// model's own [`DistFs::partition`] built.
+pub trait DistFs: Any + Send {
     /// Declare queueing resources and semaphores (called once by the engine
     /// before the run).
     fn resources(&self) -> FsResources;
@@ -360,6 +366,15 @@ pub trait DistFs: Send {
     fn partition(&self, _nodes: usize) -> Option<PartitionPlan> {
         None
     }
+
+    /// Take back the replicas of a finished partitioned run, so that the
+    /// model reads after the run as if it had run unpartitioned.
+    ///
+    /// `replicas` are the [`PartitionPlan::models`] of the plan this model's
+    /// [`partition`](DistFs::partition) returned, in domain order, and
+    /// `node_domain` is that plan's node table. The default drops them,
+    /// which suits models that keep no state a caller reads after a run.
+    fn rejoin(&mut self, _replicas: Vec<Box<dyn DistFs>>, _node_domain: &[usize]) {}
 
     /// Drop all client-side caches on `node` (paper §3.4.3).
     fn drop_caches(&mut self, node: usize);

@@ -21,7 +21,14 @@
 //!   shard on the ring, accounted as a failover per affected operation,
 //! * **partitioned execution**: [`DistFs::partition`] offers one domain per
 //!   shard group, so `--sim-threads` runs the model on the conservative
-//!   windowed engine, with the same run result as an unpartitioned run.
+//!   windowed engine. Each domain plans on a copy of the model as it stands,
+//!   and [`DistFs::rejoin`] folds the copies back: node `n`'s location cache
+//!   from the domain that owns `n`, the counters summed, the subtree table
+//!   from the domain that applied the most of the schedule. The run result
+//!   is the unpartitioned one as long as no two requests reach a FIFO
+//!   station at the same instant: at such a tie the unpartitioned engine
+//!   serves in global event order and the windowed engine in domain order
+//!   (see DESIGN §5g).
 //!
 //! Costs are deliberately *flat* (a pure function of the op kind and path
 //! depth, via [`ServiceCostModel`]): a shard replica inside one window
@@ -35,9 +42,10 @@ use crate::plan::{
     ClientCtx, DistFs, FaultStats, FsResources, OpPlan, PartitionPlan, ServerId, ServerSpec, Stage,
 };
 use memfs::{FsResult, OpCost};
-use netsim::fault::FaultPlan;
+use netsim::fault::{CrashEvent, FaultPlan};
 use netsim::{LinkSpec, RpcProfile};
 use simcore::{telemetry, DetRng, SimDuration, SimTime};
+use std::any::Any;
 use std::collections::HashMap;
 
 /// How the placement layer maps a path to its authoritative shard.
@@ -107,8 +115,6 @@ pub struct ShardMdsConfig {
     pub client_cpu: SimDuration,
     /// Crash-detection timeout before rerouting to the failover shard.
     pub failover_detect: SimDuration,
-    /// Allow [`DistFs::partition`] to offer a domain decomposition.
-    pub allow_partition: bool,
 }
 
 impl Default for ShardMdsConfig {
@@ -126,7 +132,6 @@ impl Default for ShardMdsConfig {
             link: LinkSpec::lan(),
             client_cpu: SimDuration::from_micros(40),
             failover_detect: SimDuration::from_millis(700),
-            allow_partition: true,
         }
     }
 }
@@ -149,8 +154,26 @@ struct CachedLoc {
     generation: u64,
 }
 
+/// What the model counts while it plans.
+#[derive(Debug, Clone, Copy, Default)]
+struct Counters {
+    lookups: u64,
+    migrations: u64,
+    placement_rpcs: u64,
+    failovers: u64,
+}
+
+impl std::ops::AddAssign for Counters {
+    fn add_assign(&mut self, other: Counters) {
+        self.lookups += other.lookups;
+        self.migrations += other.migrations;
+        self.placement_rpcs += other.placement_rpcs;
+        self.failovers += other.failovers;
+    }
+}
+
 /// The sharded multi-MDS model. See the module-level documentation.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ShardMds {
     config: ShardMdsConfig,
     /// Current subtree table (entries sorted by prefix for determinism).
@@ -163,14 +186,13 @@ pub struct ShardMds {
     /// Per-node location cache: routing key → (shard, generation seen).
     loc_caches: Vec<HashMap<String, CachedLoc>>,
     nodes: usize,
-    faults: Option<FaultPlan>,
-    lookups: u64,
-    migrations: u64,
-    placement_rpcs: u64,
-    failovers: u64,
+    /// Scheduled server outages (the only part of a fault plan the model
+    /// reads).
+    crashes: Vec<CrashEvent>,
+    counters: Counters,
     /// Whether applied reshard events reach the `shardmds.reshard_events`
-    /// counter. Every domain replica applies the schedule, so only the
-    /// first replica counts it; the unsplit model always does.
+    /// counter. Every domain replica applies the schedule, so replicas
+    /// leave the count to [`DistFs::rejoin`]; the model itself counts.
     counts_reshards: bool,
 }
 
@@ -257,11 +279,8 @@ impl ShardMds {
             generation: 0,
             loc_caches: Vec::new(),
             nodes: 0,
-            faults: None,
-            lookups: 0,
-            migrations: 0,
-            placement_rpcs: 0,
-            failovers: 0,
+            crashes: Vec::new(),
+            counters: Counters::default(),
             counts_reshards: true,
         }
     }
@@ -275,27 +294,27 @@ impl ShardMds {
     /// index `S`, where shard `s` is server `s + 1` behind the placement
     /// service at index 0).
     pub fn set_faults(&mut self, plan: FaultPlan) {
-        self.faults = Some(plan);
+        self.crashes = plan.crashes().to_vec();
     }
 
     /// Placement resolutions performed so far (one per planned op).
     pub fn lookups(&self) -> u64 {
-        self.lookups
+        self.counters.lookups
     }
 
     /// Lazy-migration forwards paid so far (stale client locations).
     pub fn migrations(&self) -> u64 {
-        self.migrations
+        self.counters.migrations
     }
 
     /// Cold placement-service round trips so far.
     pub fn placement_rpcs(&self) -> u64 {
-        self.placement_rpcs
+        self.counters.placement_rpcs
     }
 
     /// Operations rerouted to a failover shard so far.
     pub fn failovers(&self) -> u64 {
-        self.failovers
+        self.counters.failovers
     }
 
     /// Apply every reshard event scheduled at or before `now`.
@@ -418,12 +437,14 @@ impl ShardMds {
     /// First alive shard on the ring after `from` at `now` (including
     /// `from` itself when healthy).
     fn alive_shard(&self, from: usize, now: SimTime) -> (usize, bool) {
-        let Some(faults) = self.faults.as_ref() else {
-            return (from, false);
-        };
         for step in 0..self.config.shards {
             let s = (from + step) % self.config.shards;
-            if faults.server_down(self.shard_server(s).0, now).is_none() {
+            let server = self.shard_server(s).0;
+            let down = self
+                .crashes
+                .iter()
+                .any(|c| c.server == server && c.at <= now && now < c.restart);
+            if !down {
                 return (s, step > 0);
             }
         }
@@ -495,8 +516,8 @@ impl DistFs for ShardMds {
     }
 
     fn partition(&self, nodes: usize) -> Option<PartitionPlan> {
-        if !self.config.allow_partition || self.faults.is_some() || self.config.link.jitter > 0.0 {
-            // faults stall plans off the fault clock and jitter draws RNG;
+        if !self.crashes.is_empty() || self.config.link.jitter > 0.0 {
+            // crashes stall plans off the fault clock and jitter draws RNG;
             // both would diverge from the per-domain replicas
             return None;
         }
@@ -506,13 +527,22 @@ impl DistFs for ShardMds {
         }
         let mut server_domain = vec![0usize]; // locsvc rides with domain 0
         server_domain.extend((0..self.config.shards).map(|s| s % domains));
+        let node_domain = |n: usize| n % domains;
         Some(PartitionPlan {
             server_domain,
-            node_domain: (0..nodes).map(|n| n % domains).collect(),
+            node_domain: (0..nodes).map(node_domain).collect(),
+            // each replica starts from the model as it stands, keeps only
+            // the location caches of its own nodes, and counts from zero
             models: (0..domains)
                 .map(|d| {
-                    let mut replica = ShardMds::new(self.config.clone());
-                    replica.counts_reshards = d == 0;
+                    let mut replica = self.clone();
+                    replica.counters = Counters::default();
+                    replica.counts_reshards = false;
+                    for (n, cache) in replica.loc_caches.iter_mut().enumerate() {
+                        if node_domain(n) != d {
+                            *cache = HashMap::new();
+                        }
+                    }
                     Box::new(replica) as Box<dyn DistFs>
                 })
                 .collect(),
@@ -534,7 +564,7 @@ impl DistFs for ShardMds {
         out.reset();
         self.apply_resharding(now);
         let (key, home, entry_generation) = self.resolve(op.primary_path());
-        self.lookups += 1;
+        self.counters.lookups += 1;
         telemetry::count("shardmds.lookups", 1);
 
         out.stages.push(Stage::ClientCpu {
@@ -566,7 +596,7 @@ impl DistFs for ShardMds {
         });
         match cached {
             None => {
-                self.placement_rpcs += 1;
+                self.counters.placement_rpcs += 1;
                 telemetry::count("shardmds.placement_rpcs", 1);
                 out.push_rpc(SHARD_LOCSVC, self.config.locsvc_demand, req, rsp);
             }
@@ -577,7 +607,7 @@ impl DistFs for ShardMds {
                 // which pulls the subtree's hot state on this first touch.
                 // Each hop is a complete request/response RPC so the
                 // conservative engine can treat it as one remote exchange.
-                self.migrations += 1;
+                self.counters.migrations += 1;
                 telemetry::count("shardmds.migrations", 1);
                 out.push_rpc(
                     self.shard_server(loc.shard),
@@ -601,7 +631,7 @@ impl DistFs for ShardMds {
         // the ring successor serves (and keeps serving until the restart)
         let (serving, failed_over) = self.alive_shard(home, now);
         if failed_over {
-            self.failovers += 1;
+            self.counters.failovers += 1;
             out.faults = FaultStats {
                 injected: 1,
                 retries: 1,
@@ -617,6 +647,38 @@ impl DistFs for ShardMds {
         let demand = self.config.cost.demand(Self::synthetic_cost(op)) + pull;
         out.push_rpc(self.shard_server(serving), demand, req, rsp);
         Ok(())
+    }
+
+    fn rejoin(&mut self, replicas: Vec<Box<dyn DistFs>>, node_domain: &[usize]) {
+        let mut replicas: Vec<ShardMds> = replicas
+            .into_iter()
+            .map(|r| {
+                *(r as Box<dyn Any>)
+                    .downcast::<ShardMds>()
+                    .expect("ShardMds::partition builds ShardMds replicas")
+            })
+            .collect();
+        for (n, &d) in node_domain.iter().enumerate() {
+            self.loc_caches[n] = std::mem::take(&mut replicas[d].loc_caches[n]);
+        }
+        for replica in &replicas {
+            self.counters += replica.counters;
+        }
+        // the schedule is a function of time alone, so the replica that
+        // applied the most of it holds the table the model would hold
+        let furthest = replicas
+            .into_iter()
+            .max_by_key(|r| r.applied)
+            .expect("a partition has at least two domains");
+        if furthest.applied > self.applied {
+            telemetry::count(
+                "shardmds.reshard_events",
+                (furthest.applied - self.applied) as u64,
+            );
+            self.table = furthest.table;
+            self.applied = furthest.applied;
+            self.generation = furthest.generation;
+        }
     }
 
     fn drop_caches(&mut self, node: usize) {
@@ -913,6 +975,39 @@ mod tests {
                 .build(),
         );
         assert!(faulty.partition(8).is_none());
+    }
+
+    #[test]
+    fn replicas_start_from_the_model_and_rejoin_it() {
+        let mut m = ShardMds::with_defaults();
+        m.register_clients(4);
+        let mut rng = DetRng::new(1);
+        let mut plan_on = |fs: &mut dyn DistFs, node: usize, file: &str| {
+            let op = create(&format!("/d/n{node}/{file}"));
+            let plan = fs
+                .plan(ClientCtx { node, proc: 0 }, &op, SimTime::ZERO, &mut rng)
+                .unwrap();
+            servers_visited(&plan).contains(&SHARD_LOCSVC)
+        };
+        for node in 0..4 {
+            assert!(plan_on(&mut m, node, "f0"), "cold lookup");
+        }
+        let plan = m.partition(4).expect("partitionable");
+        let mut replicas = plan.models;
+        for node in 0..4 {
+            let replica = &mut *replicas[plan.node_domain[node]];
+            assert!(!plan_on(replica, node, "f1"), "the replica starts warm");
+            assert!(plan_on(replica, node, "g/f1"), "a new directory is cold");
+        }
+        m.rejoin(replicas, &plan.node_domain);
+        assert_eq!(m.lookups(), 12, "4 before the run, 8 in the replicas");
+        assert_eq!(m.placement_rpcs(), 8);
+        for node in 0..4 {
+            assert!(
+                !plan_on(&mut m, node, "g/f2"),
+                "the replica's cache came back"
+            );
+        }
     }
 
     #[test]

@@ -496,6 +496,22 @@ impl MemFs {
         Ok(Step::Done(cur))
     }
 
+    /// The path [`walk`](MemFs::walk) reaches when it follows every
+    /// symlink of `path` and then finds no entry: for a dangling symlink,
+    /// the path of its final target.
+    fn dangling_target(&mut self, path: &str) -> FsResult<String> {
+        let mut hops = 0;
+        let mut cur = path.to_owned();
+        loop {
+            match self.walk_once(&cur, Walk::To { follow_last: true }, &mut hops) {
+                Ok(Step::Follow(next)) => cur = next,
+                Ok(Step::Done(_)) => return Err(FsError::Exists),
+                Err(FsError::NotFound) => return Ok(cur),
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
     /// Validate `path` as [`FsPath::parse`](crate::FsPath::parse) would,
     /// handing it back.
     fn parse(path: &str) -> FsResult<&str> {
@@ -1224,14 +1240,24 @@ impl Vfs for MemFs {
                 self.require_writable()?;
                 let (dir, name) = self.resolve_parent(p)?;
                 let name: Arc<str> = Arc::from(name);
-                let ino = self.create_node(
+                let created = self.create_node(
                     dir,
                     name.clone(),
                     FileType::Regular,
                     DEFAULT_FILE_MODE,
                     None,
                     None,
-                )?;
+                );
+                let ino = match created {
+                    // The name exists, yet `resolve` found nothing: it is a
+                    // dangling symlink. Without O_EXCL a kernel file system
+                    // creates the link's target, so open that instead.
+                    Err(FsError::Exists) if !flags.excl => {
+                        let target = self.dangling_target(p)?;
+                        return self.open(&target, flags);
+                    }
+                    created => created?,
+                };
                 self.log(JournalRecord::Create {
                     parent: dir,
                     name,

@@ -392,24 +392,64 @@ fn memfs_matches_stdfs_on_rename_and_link_edges() {
     assert_eq!(run(&mut MemFs::new()), real);
 }
 
-/// A known divergence, pinned so that closing it is a deliberate change:
-/// `open(O_CREAT)` without `O_EXCL` through a dangling symlink makes the
-/// link's target on a kernel file system, while `MemFs` answers `Exists`.
+/// `open(O_CREAT)` without `O_EXCL` through a dangling symlink creates the
+/// link's target, as on a kernel file system: through an absolute link, a
+/// chain of relative links with `..`, a link in a symlinked directory
+/// (its `..` is the real parent's), and not at all when the target's
+/// parent is missing or `O_EXCL` is set.
 #[test]
-fn open_create_through_dangling_symlink_diverges() {
-    fn run(fs: &mut impl Vfs) -> (Result<(), FsError>, bool) {
+fn open_create_through_dangling_symlink_matches_stdfs() {
+    fn open_create(
+        fs: &mut impl Vfs,
+        link: &str,
+        excl: bool,
+        made: &str,
+    ) -> (Result<(), FsError>, bool) {
+        let flags = memfs::OpenFlags {
+            excl,
+            ..memfs::OpenFlags::write_create()
+        };
+        let opened = fs.open(link, flags).and_then(|fd| fs.close(fd));
+        (opened, fs.stat(made).is_ok())
+    }
+    fn run(fs: &mut impl Vfs) -> Vec<(Result<(), FsError>, bool)> {
         fs.symlink("/target", "/s").unwrap();
-        let opened = fs
-            .open("/s", memfs::OpenFlags::write_create())
-            .and_then(|fd| fs.close(fd));
-        (opened, fs.stat("/target").is_ok())
+        fs.mkdir("/d").unwrap();
+        fs.symlink("l2", "/d/l1").unwrap();
+        fs.symlink("../made", "/d/l2").unwrap();
+        fs.symlink("/excl", "/e").unwrap();
+        fs.symlink("/nodir/x", "/m").unwrap();
+        fs.mkdir("/a").unwrap();
+        fs.mkdir("/a/b").unwrap();
+        fs.mkdir("/a/b/real").unwrap();
+        fs.symlink("/a/b/real", "/ld").unwrap();
+        fs.symlink("../x", "/a/b/real/up").unwrap();
+        vec![
+            open_create(fs, "/s", false, "/target"),
+            open_create(fs, "/d/l1", false, "/made"),
+            open_create(fs, "/e", true, "/excl"),
+            open_create(fs, "/m", false, "/nodir/x"),
+            open_create(fs, "/ld/up", false, "/a/b/x"),
+            // the target now exists: the link just opens it
+            open_create(fs, "/s", false, "/target"),
+        ]
     }
     let tmp = std::env::temp_dir().join(format!("memfs-dangling-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&tmp);
     let real = run(&mut memfs::StdFs::new(&tmp).unwrap());
     let _ = std::fs::remove_dir_all(&tmp);
-    assert_eq!(real, (Ok(()), true));
-    assert_eq!(run(&mut MemFs::new()), (Err(FsError::Exists), false));
+    assert_eq!(
+        real,
+        vec![
+            (Ok(()), true),
+            (Ok(()), true),
+            (Err(FsError::Exists), false),
+            (Err(FsError::NotFound), false),
+            (Ok(()), true),
+            (Ok(()), true),
+        ]
+    );
+    assert_eq!(run(&mut MemFs::new()), real);
 }
 
 fn rand_suffix(ops: &[FsOp]) -> u64 {

@@ -428,3 +428,100 @@ fn shardmds_bit_identical_across_engines_and_thread_counts() {
         );
     }
 }
+
+/// One run of a hash-placed `ShardMds` whose model was used before the
+/// run, as the prepare phase of `Runner::run_one_sim` uses it: every
+/// worker creates its files unmeasured at t = 0, warming its node's
+/// location cache, and the measured run stats them, with every fifth op a
+/// create in one of three directories of its own that no node has seen.
+/// Directories are per node, so same-instant arrivals never queue at a
+/// shard, where the two engines may break the tie differently. Returns the run result and the
+/// model's `lookups()` and `placement_rpcs()` after the run.
+fn run_prepared_shardmds(threads: Option<usize>) -> (String, u64, u64) {
+    const FILES: u64 = 50;
+    set_sim_threads(threads);
+    let mut model = ShardMds::new(ShardMdsConfig {
+        shards: 4,
+        ..ShardMdsConfig::default()
+    });
+    let node_names: Vec<String> = (0..NODES).map(|i| format!("pn{i}")).collect();
+    let specs: Vec<WorkerSpec> = (0..NODES).map(|n| WorkerSpec::new(n, 0)).collect();
+    model.register_clients(NODES);
+    let mut rng = DetRng::new(7);
+    let mut plan = OpPlan::default();
+    for spec in &specs {
+        for i in 0..FILES {
+            let op = MetaOp::Create {
+                path: format!("/bench/n{}/f{i}", spec.node),
+                data_bytes: 0,
+            };
+            let client = ClientCtx {
+                node: spec.node,
+                proc: spec.proc,
+            };
+            model
+                .plan_into(client, &op, SimTime::ZERO, &mut rng, &mut plan)
+                .expect("prepare op plans");
+        }
+    }
+    let streams: Vec<Box<dyn cluster::OpStream>> = specs
+        .iter()
+        .map(|spec| {
+            let node = spec.node;
+            Box::new(move |i: u64| {
+                (i < 4 * FILES).then(|| {
+                    if i % 5 == 4 {
+                        MetaOp::Create {
+                            path: format!("/fresh/n{node}d{}/f{i}", i % 3),
+                            data_bytes: 0,
+                        }
+                    } else {
+                        MetaOp::Stat {
+                            path: format!("/bench/n{node}/f{}", i % FILES),
+                        }
+                    }
+                })
+            }) as Box<dyn cluster::OpStream>
+        })
+        .collect();
+    let result = run_sim(
+        &mut model,
+        &node_names,
+        specs,
+        streams,
+        &SimConfig::default(),
+    );
+    set_sim_threads(None);
+    (
+        format!("{result:?}"),
+        model.lookups(),
+        model.placement_rpcs(),
+    )
+}
+
+/// A model used before a partitioned run hands its state to the domain
+/// replicas, and the replicas hand theirs back: a prepared model gives the
+/// unpartitioned run result and counters at every thread count.
+#[test]
+fn prepared_shardmds_matches_unpartitioned_run() {
+    let _serial = KNOB.lock().unwrap_or_else(|e| e.into_inner());
+    let unpartitioned = run_prepared_shardmds(None);
+    let prepare_ops = NODES as u64 * 50;
+    let measured_ops = NODES as u64 * 200;
+    assert_eq!(unpartitioned.1, prepare_ops + measured_ops);
+    for threads in [1, 2, 4] {
+        let run = run_prepared_shardmds(Some(threads));
+        assert_eq!(
+            unpartitioned.0, run.0,
+            "run result differs at --sim-threads {threads}"
+        );
+        assert_eq!(
+            unpartitioned.1, run.1,
+            "lookups() differs at --sim-threads {threads}"
+        );
+        assert_eq!(
+            unpartitioned.2, run.2,
+            "placement_rpcs() differs at --sim-threads {threads}"
+        );
+    }
+}

@@ -5,15 +5,22 @@
 //! simulations on virtual time, so OS-thread scheduling must never leak
 //! into a report.
 //!
-//! Uses the three cheap Chapter-3 scenarios so the property gets real
-//! multi-scenario interleaving without minutes of simulation per case.
+//! Uses the three cheap Chapter-3 scenarios and the shard-migration audit
+//! (a model that partitions at `--sim-threads`, whose report reads model
+//! counters) so the property gets real multi-scenario interleaving without
+//! minutes of simulation per case.
 
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
 use dmetabench::suite::{self, Scenario};
 
-const FAST_IDS: [&str; 3] = ["exp_tab_3_1", "exp_fig_3_4", "exp_lst_3_3"];
+const FAST_IDS: [&str; 4] = [
+    "exp_tab_3_1",
+    "exp_fig_3_4",
+    "exp_lst_3_3",
+    "mds_shard_migration",
+];
 
 fn fast_scenarios() -> Vec<&'static Scenario> {
     FAST_IDS
@@ -38,23 +45,30 @@ fn solo_reports() -> &'static Vec<String> {
     })
 }
 
-/// The 6 permutations of 3 work items.
-const ORDERS: [[usize; 3]; 6] = [
-    [0, 1, 2],
-    [0, 2, 1],
-    [1, 0, 2],
-    [1, 2, 0],
-    [2, 0, 1],
-    [2, 1, 0],
-];
+/// The `k`-th of the `n!` orders of `n` work items (factorial number
+/// system: each digit picks one of the items still left).
+fn nth_order(n: usize, mut k: usize) -> Vec<usize> {
+    let mut left: Vec<usize> = (0..n).collect();
+    let mut out = Vec::with_capacity(n);
+    for digits in (1..=n).rev() {
+        let weight: usize = (1..digits).product();
+        out.push(left.remove(k / weight));
+        k %= weight;
+    }
+    out
+}
+
+/// The 4! claim orders of the fast scenarios.
+const ORDER_COUNT: usize = 24;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
-    fn reports_identical_for_any_schedule(order_idx in 0usize..6, jobs in 1usize..5) {
+    fn reports_identical_for_any_schedule(order_idx in 0usize..ORDER_COUNT, jobs in 1usize..5) {
         let scenarios = fast_scenarios();
-        let run = suite::run_suite_ordered(&scenarios, jobs, &ORDERS[order_idx]);
+        let order = nth_order(FAST_IDS.len(), order_idx);
+        let run = suite::run_suite_ordered(&scenarios, jobs, &order);
         for (result, solo) in run.results.iter().zip(solo_reports()) {
             let report = &result.outcome.as_ref().expect("no panic").report;
             let json = serde_json::to_string_pretty(report).expect("serializable");
@@ -63,7 +77,7 @@ proptest! {
                 solo,
                 "scenario {} differs between solo and parallel (order {:?}, jobs {})",
                 result.scenario.id,
-                ORDERS[order_idx],
+                order,
                 jobs
             );
         }
@@ -85,8 +99,9 @@ fn default_claim_order_matches_solo_runs() {
 
 /// `--sim-threads` must never change a report: the paper-model scenarios
 /// keep the default `partition() == None`, so they run unpartitioned, as
-/// one domain, at every thread count — and the reports stay identical to
-/// the unset baseline, across claim orders too.
+/// one domain, at every thread count, and the shard-migration audit runs
+/// partitioned and reads its counters from the rejoined model — and the
+/// reports stay identical to the unset baseline, across claim orders too.
 /// (The knob is process-global; the whole matrix runs in one test body so
 /// settings never race. A concurrent test observing a temporary setting is
 /// still correct: results are thread-count-invariant by design.)
@@ -95,7 +110,7 @@ fn fast_reports_identical_across_sim_threads() {
     let scenarios = fast_scenarios();
     for threads in [1usize, 2, 4] {
         cluster::set_sim_threads(Some(threads));
-        for order in [[0usize, 1, 2], [2, 1, 0]] {
+        for order in [[0usize, 1, 2, 3], [3, 2, 1, 0]] {
             let run = suite::run_suite_ordered(&scenarios, 4, &order);
             for (result, solo) in run.results.iter().zip(solo_reports()) {
                 let report = &result.outcome.as_ref().expect("no panic").report;

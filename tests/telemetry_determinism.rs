@@ -144,8 +144,9 @@ fn writeback_goldens_hold_across_sim_threads() {
 /// The sharded-MDS model's telemetry counters are engine-invariant: the
 /// unpartitioned run and the partitioned run at every thread count agree on
 /// every `shardmds.*` total (the per-domain captures merge by summation),
-/// and the partitioned metrics summary is byte-identical across thread
-/// counts.
+/// the partitioned metrics summary is byte-identical across thread counts,
+/// and in every mode the model's `lookups()`, `placement_rpcs()`,
+/// `migrations()` and `failovers()` equal their telemetry counters.
 #[test]
 fn shardmds_counters_identical_across_engines_and_thread_counts() {
     use cluster::{run_sim, set_sim_threads, SimConfig, WorkerSpec};
@@ -165,7 +166,7 @@ fn shardmds_counters_identical_across_engines_and_thread_counts() {
 
     let run = |threads: Option<usize>| {
         set_sim_threads(threads);
-        let (_, report) = simcore::telemetry::capture(|| {
+        let (getters, report) = simcore::telemetry::capture(|| {
             let mut model = ShardMds::new(ShardMdsConfig {
                 shards: 4,
                 placement: ShardPlacement::Subtree,
@@ -199,9 +200,24 @@ fn shardmds_counters_identical_across_engines_and_thread_counts() {
                 specs,
                 streams,
                 &SimConfig::default(),
-            )
+            );
+            [
+                ("shardmds.lookups", model.lookups()),
+                ("shardmds.placement_rpcs", model.placement_rpcs()),
+                ("shardmds.migrations", model.migrations()),
+                ("shardmds.failovers", model.failovers()),
+            ]
         });
         set_sim_threads(None);
+        // the model's own getters read what telemetry counted, on the
+        // partitioned engine too (its replicas rejoin the model)
+        for (name, value) in getters {
+            assert_eq!(
+                value,
+                report.counter(name),
+                "{name}: model getter and telemetry counter differ at --sim-threads {threads:?}"
+            );
+        }
         report
     };
 
