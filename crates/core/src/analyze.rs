@@ -19,10 +19,12 @@
 //! Everything here is a pure function of the [`TelemetryReport`], so the
 //! JSON and Markdown outputs are byte-deterministic.
 
-use simcore::telemetry::{CacheTag, OpRecord};
-use simcore::{LatencyHistogram, TelemetryReport};
-use std::collections::BTreeMap;
+use simcore::telemetry::{escape_json, CacheTag, OpRecord};
+use simcore::{LatencyHistogram, SimDuration, TelemetryReport};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::fmt::Write as _;
+use std::io::Write as _;
 
 /// The five attribution segments, in presentation order.
 pub const SEGMENTS: [&str; 5] = ["client", "network", "queue", "service", "lock"];
@@ -127,87 +129,103 @@ pub struct Analysis {
     pub consistency: Consistency,
 }
 
+/// One op name's running totals in [`analyze`]'s single pass.
+struct GroupAcc {
+    name: &'static str,
+    dur: LatencyHistogram,
+    segments: [LatencyHistogram; 5],
+    hits: u64,
+    misses: u64,
+}
+
+impl GroupAcc {
+    fn finish(self) -> OpGroup {
+        let ns = |h: &LatencyHistogram, p: f64| h.percentile(p).as_nanos();
+        OpGroup {
+            name: self.name.to_owned(),
+            count: self.dur.count(),
+            dur_total_ns: self.dur.sum().as_nanos(),
+            dur_p50_ns: ns(&self.dur, 0.50),
+            dur_p99_ns: ns(&self.dur, 0.99),
+            segments: (self.segments.iter())
+                .map(|h| SegmentStats {
+                    total_ns: h.sum().as_nanos(),
+                    p50_ns: ns(h, 0.50),
+                    p99_ns: ns(h, 0.99),
+                })
+                .collect(),
+            cache_hits: self.hits,
+            cache_misses: self.misses,
+        }
+    }
+}
+
+/// Rank of a record among the slowest chains: smaller is slower. Duration
+/// descending, then start, pid, tid and finally record order, so the
+/// ranking is total and deterministic.
+type ChainRank = (Reverse<u64>, u64, u32, u64, usize);
+
 /// Analyze a report's op records, keeping the `top_k` slowest chains.
 #[must_use]
 pub fn analyze(report: &TelemetryReport, top_k: usize) -> Analysis {
     let records = report.op_records();
 
-    let mut by_name: BTreeMap<&str, Vec<&OpRecord>> = BTreeMap::new();
-    for r in records {
-        by_name.entry(r.name).or_default().push(r);
+    // one pass: per-name histograms, overall totals, the consistency sums,
+    // and a bounded max-heap holding the `top_k` slowest ranks seen so far
+    let mut groups: Vec<GroupAcc> = Vec::new();
+    let mut totals = [0u64; 5];
+    let (mut dur_total_ns, mut segment_sum_ns, mut mismatched) = (0u64, 0u64, 0u64);
+    let mut top: BinaryHeap<ChainRank> = BinaryHeap::with_capacity(top_k.min(records.len()));
+    for (i, r) in records.iter().enumerate() {
+        // names are interned statics, so the pointer test almost always
+        // settles it; equal text under another pointer still merges
+        let g = match (groups.iter()).position(|g| std::ptr::eq(g.name, r.name) || g.name == r.name)
+        {
+            Some(g) => &mut groups[g],
+            None => {
+                groups.push(GroupAcc {
+                    name: r.name,
+                    dur: LatencyHistogram::new(),
+                    segments: std::array::from_fn(|_| LatencyHistogram::new()),
+                    hits: 0,
+                    misses: 0,
+                });
+                groups.last_mut().expect("just pushed")
+            }
+        };
+        g.dur.push(SimDuration::from_nanos(r.dur_ns));
+        for ((h, total), v) in g.segments.iter_mut().zip(&mut totals).zip(segments_of(r)) {
+            h.push(SimDuration::from_nanos(v));
+            *total += v;
+        }
+        match r.cache {
+            CacheTag::Hit => g.hits += 1,
+            CacheTag::Miss => g.misses += 1,
+            CacheTag::Untagged => {}
+        }
+        dur_total_ns += r.dur_ns;
+        segment_sum_ns += r.segment_sum_ns();
+        mismatched += u64::from(r.segment_sum_ns() != r.dur_ns);
+
+        let rank = (Reverse(r.dur_ns), r.start_ns, r.pid, r.tid, i);
+        if top.len() < top_k {
+            top.push(rank);
+        } else if let Some(mut worst) = top.peek_mut() {
+            if rank < *worst {
+                *worst = rank;
+            }
+        }
     }
 
-    let mut groups: Vec<OpGroup> = by_name
-        .into_iter()
-        .map(|(name, rs)| {
-            let mut dur_hist = LatencyHistogram::new();
-            let mut seg_hists: Vec<LatencyHistogram> = (0..SEGMENTS.len())
-                .map(|_| LatencyHistogram::new())
-                .collect();
-            let mut seg_totals = [0u64; 5];
-            let (mut hits, mut misses) = (0u64, 0u64);
-            for r in &rs {
-                dur_hist.push(simcore::SimDuration::from_nanos(r.dur_ns));
-                for (i, v) in segments_of(r).into_iter().enumerate() {
-                    seg_totals[i] += v;
-                    seg_hists[i].push(simcore::SimDuration::from_nanos(v));
-                }
-                match r.cache {
-                    CacheTag::Hit => hits += 1,
-                    CacheTag::Miss => misses += 1,
-                    CacheTag::Untagged => {}
-                }
-            }
-            OpGroup {
-                name: name.to_owned(),
-                count: rs.len() as u64,
-                dur_total_ns: dur_hist.sum().as_nanos(),
-                dur_p50_ns: dur_hist.percentile(0.50).as_nanos(),
-                dur_p99_ns: dur_hist.percentile(0.99).as_nanos(),
-                segments: seg_hists
-                    .iter()
-                    .zip(seg_totals)
-                    .map(|(h, total_ns)| SegmentStats {
-                        total_ns,
-                        p50_ns: h.percentile(0.50).as_nanos(),
-                        p99_ns: h.percentile(0.99).as_nanos(),
-                    })
-                    .collect(),
-                cache_hits: hits,
-                cache_misses: misses,
-            }
-        })
-        .collect();
+    let mut groups: Vec<OpGroup> = groups.into_iter().map(GroupAcc::finish).collect();
     groups.sort_by(|a, b| {
         b.dur_total_ns
             .cmp(&a.dur_total_ns)
             .then_with(|| a.name.cmp(&b.name))
     });
 
-    let mut totals = [0u64; 5];
-    let mut dur_total_ns = 0u64;
-    for r in records {
-        for (i, v) in segments_of(r).into_iter().enumerate() {
-            totals[i] += v;
-        }
-        dur_total_ns += r.dur_ns;
-    }
-
-    // top-k slowest chains: sort indices by duration descending; ties break
-    // by (start, pid, tid) so the selection is deterministic.
-    let mut idx: Vec<usize> = (0..records.len()).collect();
-    idx.sort_by(|&a, &b| {
-        let (ra, rb) = (&records[a], &records[b]);
-        rb.dur_ns
-            .cmp(&ra.dur_ns)
-            .then_with(|| ra.start_ns.cmp(&rb.start_ns))
-            .then_with(|| ra.pid.cmp(&rb.pid))
-            .then_with(|| ra.tid.cmp(&rb.tid))
-    });
-    let slowest: Vec<SlowChain> = idx
-        .into_iter()
-        .take(top_k)
-        .map(|i| {
+    let slowest: Vec<SlowChain> = (top.into_sorted_vec().into_iter())
+        .map(|(.., i)| {
             let r = &records[i];
             SlowChain {
                 name: r.name.to_owned(),
@@ -225,11 +243,6 @@ pub fn analyze(report: &TelemetryReport, top_k: usize) -> Analysis {
         })
         .collect();
 
-    let segment_sum_ns: u64 = records.iter().map(OpRecord::segment_sum_ns).sum();
-    let mismatched = records
-        .iter()
-        .filter(|r| r.segment_sum_ns() != r.dur_ns)
-        .count() as u64;
     let hist = report.histogram("op.latency");
     let hist_count = hist.map(LatencyHistogram::count);
     let hist_sum_ns = hist.map(|h| h.sum().as_nanos());
@@ -256,31 +269,16 @@ pub fn analyze(report: &TelemetryReport, top_k: usize) -> Analysis {
     }
 }
 
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 impl Analysis {
     /// Serialize as deterministic JSON (schema `dmetabench.critpath/v1`).
     #[must_use]
     pub fn to_json(&self, scenario: &str) -> String {
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\n  \"schema\": \"dmetabench.critpath/v1\",\n  \"scenario\": \"{}\",\n",
-            esc(scenario)
-        );
+        let mut out = Vec::new();
+        let quoted = |out: &mut Vec<u8>, s: &str| {
+            out.push(b'"');
+            escape_json(out, s);
+            out.push(b'"');
+        };
         let seg_obj = |vals: &[u64; 5]| -> String {
             SEGMENTS
                 .iter()
@@ -289,30 +287,28 @@ impl Analysis {
                 .collect::<Vec<_>>()
                 .join(", ")
         };
+        out.extend_from_slice(b"{\n  \"schema\": \"dmetabench.critpath/v1\",\n  \"scenario\": ");
+        quoted(&mut out, scenario);
         let _ = write!(
             out,
-            "  \"totals_ns\": {{{}}},\n  \"dur_total_ns\": {},\n",
+            ",\n  \"totals_ns\": {{{}}},\n  \"dur_total_ns\": {},\n",
             seg_obj(&self.totals),
             self.dur_total_ns
         );
-        out.push_str("  \"ops\": [\n");
+        out.extend_from_slice(b"  \"ops\": [\n");
         for (gi, g) in self.groups.iter().enumerate() {
+            out.extend_from_slice(b"    {\"name\": ");
+            quoted(&mut out, &g.name);
             let _ = write!(
                 out,
-                "    {{\"name\": \"{}\", \"count\": {}, \"dur_total_ns\": {}, \
+                ", \"count\": {}, \"dur_total_ns\": {}, \
                  \"dur_p50_ns\": {}, \"dur_p99_ns\": {}, \"cache_hits\": {}, \
                  \"cache_misses\": {}, \"segments\": {{",
-                esc(&g.name),
-                g.count,
-                g.dur_total_ns,
-                g.dur_p50_ns,
-                g.dur_p99_ns,
-                g.cache_hits,
-                g.cache_misses
+                g.count, g.dur_total_ns, g.dur_p50_ns, g.dur_p99_ns, g.cache_hits, g.cache_misses
             );
             for (i, (seg, st)) in SEGMENTS.iter().zip(&g.segments).enumerate() {
                 if i > 0 {
-                    out.push_str(", ");
+                    out.extend_from_slice(b", ");
                 }
                 let _ = write!(
                     out,
@@ -320,33 +316,33 @@ impl Analysis {
                     st.total_ns, st.p50_ns, st.p99_ns
                 );
             }
-            out.push_str("}}");
-            out.push_str(if gi + 1 < self.groups.len() {
-                ",\n"
+            out.extend_from_slice(b"}}");
+            out.extend_from_slice(if gi + 1 < self.groups.len() {
+                b",\n"
             } else {
-                "\n"
+                b"\n"
             });
         }
-        out.push_str("  ],\n  \"slowest\": [\n");
+        out.extend_from_slice(b"  ],\n  \"slowest\": [\n");
         for (ci, c) in self.slowest.iter().enumerate() {
+            out.extend_from_slice(b"    {\"name\": ");
+            quoted(&mut out, &c.name);
+            let _ = write!(out, ", \"id\": {}, \"process\": ", c.id);
+            quoted(&mut out, &c.process);
+            out.extend_from_slice(b", \"track\": ");
+            quoted(&mut out, &c.track);
             let _ = write!(
                 out,
-                "    {{\"name\": \"{}\", \"id\": {}, \"process\": \"{}\", \
-                 \"track\": \"{}\", \"start_ns\": {}, \"dur_ns\": {}, \
-                 \"cache\": \"{}\", \"segments\": {{{}}}}}",
-                esc(&c.name),
-                c.id,
-                esc(&c.process),
-                esc(&c.track),
+                ", \"start_ns\": {}, \"dur_ns\": {}, \"cache\": \"{}\", \"segments\": {{{}}}}}",
                 c.start_ns,
                 c.dur_ns,
                 c.cache,
                 seg_obj(&c.segments)
             );
-            out.push_str(if ci + 1 < self.slowest.len() {
-                ",\n"
+            out.extend_from_slice(if ci + 1 < self.slowest.len() {
+                b",\n"
             } else {
-                "\n"
+                b"\n"
             });
         }
         let cons = &self.consistency;
@@ -364,7 +360,7 @@ impl Analysis {
             opt(cons.hist_sum_ns),
             cons.consistent
         );
-        out
+        String::from_utf8(out).expect("escaped JSON is UTF-8")
     }
 
     /// Render a human-readable Markdown report.

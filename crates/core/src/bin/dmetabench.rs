@@ -17,6 +17,8 @@ use memfs::crash::CrashSpec;
 use netsim::fault::{FaultPlan, FaultSpec};
 use simcore::{SimDuration, TelemetryReport};
 use std::fmt::Display;
+use std::fs::File;
+use std::io::{self, BufWriter, Write as _};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::str::FromStr;
@@ -245,18 +247,19 @@ impl Common {
     /// stdout under `--metrics` (after a `=== <stem> metrics ===` line if
     /// `head`).
     fn write_telemetry(&self, stem: &str, t: &TelemetryReport, head: bool) -> Result<(), String> {
-        let metrics = t.to_metrics_json();
         if let Some(dir) = &self.trace_out {
             let trace = dir.join(format!("{stem}.trace.json"));
-            write_file(&trace, t.to_chrome_trace_json())?;
-            write_file(&dir.join(format!("{stem}.metrics.json")), &metrics)?;
+            write_with(&trace, |w| t.write_chrome_trace(w))?;
+            write_with(&dir.join(format!("{stem}.metrics.json")), |w| {
+                t.write_metrics(w)
+            })?;
             eprintln!("[trace] {}", trace.display());
         }
         if self.metrics {
             if head {
                 println!("=== {stem} metrics ===");
             }
-            println!("{metrics}");
+            println!("{}", t.to_metrics_json());
         }
         Ok(())
     }
@@ -267,7 +270,18 @@ fn create_dir(dir: &Path) -> Result<(), String> {
 }
 
 fn write_file(path: &Path, content: impl AsRef<[u8]>) -> Result<(), String> {
-    std::fs::write(path, content).map_err(|e| format!("cannot write {}: {e}", path.display()))
+    write_with(path, |w| w.write_all(content.as_ref()))
+}
+
+/// Create `path` and stream `render`'s output into it through a
+/// `BufWriter`, so a large export never sits in memory whole.
+fn write_with(
+    path: &Path,
+    render: impl FnOnce(&mut BufWriter<File>) -> io::Result<()>,
+) -> Result<(), String> {
+    let err = |e: io::Error| format!("cannot write {}: {e}", path.display());
+    let mut w = BufWriter::new(File::create(path).map_err(err)?);
+    render(&mut w).and_then(|()| w.flush()).map_err(err)
 }
 
 /// Run `f`, capturing its telemetry when `on`.
@@ -734,13 +748,19 @@ fn analyze_one(id: &str, cli: &AnalyzeCli) -> Result<(), String> {
     let analysis = analyze::analyze(telemetry, cli.top);
     let cons = &analysis.consistency;
     if let Some(dir) = &cli.out {
-        for (suffix, content) in [
-            ("critpath.json", analysis.to_json(id)),
-            ("timeseries.json", telemetry.to_timeseries_json()),
-            ("report.md", analysis.to_markdown(id)),
-        ] {
+        type Render<'a> = &'a dyn Fn(&mut BufWriter<File>) -> io::Result<()>;
+        let files: [(&str, Render); 3] = [
+            ("critpath.json", &|w| {
+                w.write_all(analysis.to_json(id).as_bytes())
+            }),
+            ("timeseries.json", &|w| telemetry.write_timeseries(w)),
+            ("report.md", &|w| {
+                w.write_all(analysis.to_markdown(id).as_bytes())
+            }),
+        ];
+        for (suffix, render) in files {
             let path = dir.join(format!("{id}.{suffix}"));
-            write_file(&path, content)?;
+            write_with(&path, render)?;
             eprintln!("[analyze] {}", path.display());
         }
     }

@@ -70,8 +70,8 @@
 //! deterministic as the event sequence itself; 0 is the "no id" sentinel.
 
 use std::cell::{Cell, RefCell};
-use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::collections::{BTreeMap, HashMap};
+use std::io;
 
 use crate::stats::LatencyHistogram;
 use crate::time::{SimDuration, SimTime};
@@ -140,7 +140,7 @@ type IdentityBuild = std::hash::BuildHasherDefault<IdentityHash>;
 /// order, so they are as deterministic as the event sequence.
 #[derive(Debug, Default, Clone)]
 struct Interner {
-    ids: std::collections::HashMap<(usize, usize), u32, IdentityBuild>,
+    ids: HashMap<(usize, usize), u32, IdentityBuild>,
     names: Vec<&'static str>,
 }
 
@@ -848,117 +848,19 @@ impl TelemetryReport {
     /// Serialize as Chrome trace-event JSON (the `traceEvents` array form),
     /// loadable in Perfetto (<https://ui.perfetto.dev>) or
     /// `chrome://tracing`. Timestamps are virtual microseconds with
-    /// nanosecond precision; output is byte-deterministic.
+    /// nanosecond precision; output is byte-deterministic. The bytes of
+    /// [`TelemetryReport::write_chrome_trace`], rendered into memory.
     #[must_use]
     pub fn to_chrome_trace_json(&self) -> String {
-        let mut out = String::with_capacity(128 + 96 * self.sink.events.len());
-        out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-        let mut first = true;
-        let mut sep = |out: &mut String| {
-            if first {
-                first = false;
-                out.push_str("\n ");
-            } else {
-                out.push_str(",\n ");
-            }
-        };
-        for p in &self.sink.processes {
-            sep(&mut out);
-            let _ = write!(
-                out,
-                "{{\"ph\":\"M\",\"pid\":{},\"tid\":0,\"name\":\"process_name\",\"args\":{{\"name\":\"{}\"}}}}",
-                p.pid,
-                escape(&p.name)
-            );
-        }
-        for t in &self.sink.threads {
-            sep(&mut out);
-            let _ = write!(
-                out,
-                "{{\"ph\":\"M\",\"pid\":{},\"tid\":{},\"name\":\"thread_name\",\"args\":{{\"name\":\"{}\"}}}}",
-                t.pid,
-                t.tid,
-                escape(&t.name)
-            );
-        }
-        for s in self.events(EvKind::Span) {
-            sep(&mut out);
-            let _ = write!(
-                out,
-                "{{\"ph\":\"X\",\"pid\":{},\"tid\":{},\"ts\":{},\"dur\":{},\"name\":\"{}\",\"cat\":\"{}\"",
-                s.pid,
-                s.tid,
-                Us(s.ts_ns),
-                Us(s.val),
-                escape(self.label(s.name)),
-                escape(self.label(s.cat))
-            );
-            match (s.id, s.parent) {
-                (0, 0) => {}
-                (id, 0) => {
-                    let _ = write!(out, ",\"args\":{{\"id\":{id}}}");
-                }
-                (0, parent) => {
-                    let _ = write!(out, ",\"args\":{{\"parent\":{parent}}}");
-                }
-                (id, parent) => {
-                    let _ = write!(out, ",\"args\":{{\"id\":{id},\"parent\":{parent}}}");
-                }
-            }
-            out.push('}');
-        }
-        for i in self.events(EvKind::Instant) {
-            sep(&mut out);
-            let _ = write!(
-                out,
-                "{{\"ph\":\"i\",\"pid\":{},\"tid\":{},\"ts\":{},\"s\":\"t\",\"name\":\"{}\",\"cat\":\"{}\"}}",
-                i.pid,
-                i.tid,
-                Us(i.ts_ns),
-                escape(self.label(i.name)),
-                escape(self.label(i.cat))
-            );
-        }
-        for f in self
-            .sink
-            .events
-            .iter()
-            .filter(|e| matches!(e.kind, EvKind::FlowStart | EvKind::FlowFinish))
-        {
-            sep(&mut out);
-            // `bp:"e"` binds the finish to its enclosing slice, which is what
-            // makes Perfetto draw the arrow onto the server-side span.
-            let start = f.kind == EvKind::FlowStart;
-            let bp = if start { "" } else { "\"bp\":\"e\"," };
-            let ph = if start { 's' } else { 'f' };
-            let _ = write!(
-                out,
-                "{{\"ph\":\"{ph}\",{bp}\"pid\":{},\"tid\":{},\"ts\":{},\"id\":{},\"name\":\"{}\",\"cat\":\"{}\"}}",
-                f.pid,
-                f.tid,
-                Us(f.ts_ns),
-                f.id,
-                escape(self.label(f.name)),
-                escape(self.label(f.cat))
-            );
-        }
-        let tracks = self.track_labels();
-        for g in self.events(EvKind::Gauge) {
-            sep(&mut out);
-            // counter tracks are keyed by (pid, name) in trace viewers, so
-            // the resolved track label is folded into the counter name
-            let _ = write!(
-                out,
-                "{{\"ph\":\"C\",\"pid\":{},\"tid\":0,\"ts\":{},\"name\":\"{} {}\",\"args\":{{\"value\":{}}}}}",
-                g.pid,
-                Us(g.ts_ns),
-                escape(&tracks.label(g.pid, g.tid)),
-                escape(self.label(g.name)),
-                g.val
-            );
-        }
-        out.push_str("\n]}\n");
-        out
+        Out::render(128 + 112 * self.sink.events.len(), |out| {
+            self.chrome_trace(out)
+        })
+    }
+
+    /// Stream the Chrome trace-event JSON of
+    /// [`TelemetryReport::to_chrome_trace_json`] into `w`.
+    pub fn write_chrome_trace(&self, w: &mut impl io::Write) -> io::Result<()> {
+        Out::stream(w, |out| self.chrome_trace(out))
     }
 
     /// Serialize the gauge samples as a compact, integer-only timeseries
@@ -967,32 +869,221 @@ impl TelemetryReport {
     /// sample order. Byte-deterministic like the other exports.
     #[must_use]
     pub fn to_timeseries_json(&self) -> String {
-        let tracks = self.track_labels();
-        let mut series: BTreeMap<String, Vec<(u64, u64)>> = BTreeMap::new();
-        for g in self.events(EvKind::Gauge) {
-            let process = self.process_name(g.pid).unwrap_or("run");
-            let key = format!(
-                "{}/{}/{}",
-                process,
-                tracks.label(g.pid, g.tid),
-                self.label(g.name)
-            );
-            series.entry(key).or_default().push((g.ts_ns, g.val));
+        Out::render(64 + 24 * self.sink.events.len(), |out| self.timeseries(out))
+    }
+
+    /// Stream the timeseries JSON of
+    /// [`TelemetryReport::to_timeseries_json`] into `w`.
+    pub fn write_timeseries(&self, w: &mut impl io::Write) -> io::Result<()> {
+        Out::stream(w, |out| self.timeseries(out))
+    }
+
+    /// Serialize the compact metrics summary: counters, per-name span
+    /// aggregates and histogram digests. All values are integers (counts and
+    /// nanoseconds), so equal runs produce byte-identical output.
+    #[must_use]
+    pub fn to_metrics_json(&self) -> String {
+        Out::render(1024, |out| self.metrics(out))
+    }
+
+    /// Stream the metrics JSON of [`TelemetryReport::to_metrics_json`]
+    /// into `w`.
+    pub fn write_metrics(&self, w: &mut impl io::Write) -> io::Result<()> {
+        Out::stream(w, |out| self.metrics(out))
+    }
+
+    /// Every interned label, JSON-escaped once, indexed by label id.
+    fn escaped_labels(&self) -> Vec<Vec<u8>> {
+        (self.sink.labels.names.iter())
+            .map(|name| {
+                let mut e = Vec::with_capacity(name.len());
+                escape_json(&mut e, name);
+                e
+            })
+            .collect()
+    }
+
+    fn chrome_trace<W: io::Write>(&self, out: &mut Out<W>) -> io::Result<()> {
+        let labels = self.escaped_labels();
+        let label = |id: u32| labels[id as usize].as_slice();
+        out.str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
+        let mut sep = "\n ";
+        for p in &self.sink.processes {
+            out.str(sep);
+            sep = ",\n ";
+            out.str("{\"ph\":\"M\",\"pid\":");
+            out.uint(p.pid.into());
+            out.str(",\"tid\":0,\"name\":\"process_name\",\"args\":{\"name\":\"");
+            out.escaped(&p.name);
+            out.str("\"}}");
         }
-        let mut out = String::new();
-        out.push_str("{\n  \"schema\": \"dmetabench.timeseries/v1\",\n  \"series\": {");
-        write_map(&mut out, series.iter(), |out, (key, points)| {
-            let _ = write!(out, "\"{}\": [", escape(key));
-            for (i, (ts, v)) in points.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
+        for t in &self.sink.threads {
+            out.str(sep);
+            sep = ",\n ";
+            out.str("{\"ph\":\"M\",\"pid\":");
+            out.uint(t.pid.into());
+            out.str(",\"tid\":");
+            out.uint(t.tid);
+            out.str(",\"name\":\"thread_name\",\"args\":{\"name\":\"");
+            out.escaped(&t.name);
+            out.str("\"}}");
+        }
+        for s in self.events(EvKind::Span) {
+            out.str(sep);
+            sep = ",\n ";
+            out.str("{\"ph\":\"X\",\"pid\":");
+            out.uint(s.pid.into());
+            out.str(",\"tid\":");
+            out.uint(s.tid);
+            out.str(",\"ts\":");
+            out.micros(s.ts_ns);
+            out.str(",\"dur\":");
+            out.micros(s.val);
+            out.str(",\"name\":\"");
+            out.bytes(label(s.name));
+            out.str("\",\"cat\":\"");
+            out.bytes(label(s.cat));
+            match (s.id, s.parent) {
+                (0, 0) => out.str("\"}"),
+                (id, 0) => {
+                    out.str("\",\"args\":{\"id\":");
+                    out.uint(id);
+                    out.str("}}");
                 }
-                let _ = write!(out, "[{ts},{v}]");
+                (0, parent) => {
+                    out.str("\",\"args\":{\"parent\":");
+                    out.uint(parent);
+                    out.str("}}");
+                }
+                (id, parent) => {
+                    out.str("\",\"args\":{\"id\":");
+                    out.uint(id);
+                    out.str(",\"parent\":");
+                    out.uint(parent);
+                    out.str("}}");
+                }
             }
-            out.push(']');
-        });
-        out.push_str("}\n}\n");
-        out
+            out.spill()?;
+        }
+        for i in self.events(EvKind::Instant) {
+            out.str(sep);
+            sep = ",\n ";
+            out.str("{\"ph\":\"i\",\"pid\":");
+            out.uint(i.pid.into());
+            out.str(",\"tid\":");
+            out.uint(i.tid);
+            out.str(",\"ts\":");
+            out.micros(i.ts_ns);
+            out.str(",\"s\":\"t\",\"name\":\"");
+            out.bytes(label(i.name));
+            out.str("\",\"cat\":\"");
+            out.bytes(label(i.cat));
+            out.str("\"}");
+            out.spill()?;
+        }
+        for f in self
+            .sink
+            .events
+            .iter()
+            .filter(|e| matches!(e.kind, EvKind::FlowStart | EvKind::FlowFinish))
+        {
+            out.str(sep);
+            sep = ",\n ";
+            // `bp:"e"` binds the finish to its enclosing slice, which is what
+            // makes Perfetto draw the arrow onto the server-side span.
+            out.str(if f.kind == EvKind::FlowStart {
+                "{\"ph\":\"s\",\"pid\":"
+            } else {
+                "{\"ph\":\"f\",\"bp\":\"e\",\"pid\":"
+            });
+            out.uint(f.pid.into());
+            out.str(",\"tid\":");
+            out.uint(f.tid);
+            out.str(",\"ts\":");
+            out.micros(f.ts_ns);
+            out.str(",\"id\":");
+            out.uint(f.id);
+            out.str(",\"name\":\"");
+            out.bytes(label(f.name));
+            out.str("\",\"cat\":\"");
+            out.bytes(label(f.cat));
+            out.str("\"}");
+            out.spill()?;
+        }
+        // counter tracks are keyed by (pid, name) in trace viewers, so the
+        // resolved track label is folded into the counter name; each
+        // series' escaped "<track> <gauge>" is built on its first sample
+        let tracks = self.track_labels();
+        let mut names: HashMap<(u32, u64, u32), Vec<u8>> = HashMap::new();
+        for g in self.events(EvKind::Gauge) {
+            out.str(sep);
+            sep = ",\n ";
+            out.str("{\"ph\":\"C\",\"pid\":");
+            out.uint(g.pid.into());
+            out.str(",\"tid\":0,\"ts\":");
+            out.micros(g.ts_ns);
+            out.str(",\"name\":\"");
+            out.bytes(names.entry((g.pid, g.tid, g.name)).or_insert_with(|| {
+                let mut name = Vec::new();
+                escape_json(&mut name, &tracks.label(g.pid, g.tid));
+                name.push(b' ');
+                name.extend_from_slice(label(g.name));
+                name
+            }));
+            out.str("\",\"args\":{\"value\":");
+            out.uint(g.val);
+            out.str("}}");
+            out.spill()?;
+        }
+        out.str("\n]}\n");
+        Ok(())
+    }
+
+    fn timeseries<W: io::Write>(&self, out: &mut Out<W>) -> io::Result<()> {
+        // one key per distinct (pid, tid, gauge), formatted on its first
+        // sample; keys with equal text share one series, whose points stay
+        // in sample order
+        let tracks = self.track_labels();
+        let mut series_of: HashMap<(u32, u64, u32), usize> = HashMap::new();
+        let mut by_key: HashMap<String, usize> = HashMap::new();
+        let mut series: Vec<(String, Vec<(u64, u64)>)> = Vec::new();
+        for g in self.events(EvKind::Gauge) {
+            let i = *series_of.entry((g.pid, g.tid, g.name)).or_insert_with(|| {
+                let key = format!(
+                    "{}/{}/{}",
+                    self.process_name(g.pid).unwrap_or("run"),
+                    tracks.label(g.pid, g.tid),
+                    self.label(g.name)
+                );
+                *by_key.entry(key).or_insert_with_key(|key| {
+                    series.push((key.clone(), Vec::new()));
+                    series.len() - 1
+                })
+            });
+            series[i].1.push((g.ts_ns, g.val));
+        }
+        series.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        out.str("{\n  \"schema\": \"dmetabench.timeseries/v1\",\n  \"series\": {");
+        out.map(series.iter(), |out, (key, points)| {
+            out.str("\"");
+            out.escaped(key);
+            out.str("\": [");
+            for (i, &(ts, v)) in points.iter().enumerate() {
+                if i > 0 {
+                    out.str(",");
+                }
+                out.str("[");
+                out.uint(ts);
+                out.str(",");
+                out.uint(v);
+                out.str("]");
+                out.spill()?;
+            }
+            out.str("]");
+            Ok(())
+        })?;
+        out.str("}\n}\n");
+        Ok(())
     }
 
     fn track_labels(&self) -> TrackLabels<'_> {
@@ -1006,23 +1097,37 @@ impl TelemetryReport {
         }
     }
 
-    /// Serialize the compact metrics summary: counters, per-name span
-    /// aggregates and histogram digests. All values are integers (counts and
-    /// nanoseconds), so equal runs produce byte-identical output.
-    #[must_use]
-    pub fn to_metrics_json(&self) -> String {
-        // resolve interned ids back to names and aggregate by name — the
-        // BTreeMaps restore the name-sorted, content-merged view the output
-        // format pins
-        let mut spans: BTreeMap<&'static str, (u64, u64)> = BTreeMap::new();
-        for s in self.events(EvKind::Span) {
-            let e = spans.entry(self.label(s.name)).or_insert((0, 0));
-            e.0 += 1;
-            e.1 += s.val;
+    fn metrics<W: io::Write>(&self, out: &mut Out<W>) -> io::Result<()> {
+        // aggregate per label id, then resolve ids back to names and merge
+        // by name — the BTreeMaps restore the name-sorted, content-merged
+        // view the output format pins
+        let n = self.sink.labels.names.len();
+        let mut span_ids = vec![(0u64, 0u64); n];
+        let mut instant_ids = vec![0u64; n];
+        for e in &self.sink.events {
+            match e.kind {
+                EvKind::Span => {
+                    let agg = &mut span_ids[e.name as usize];
+                    agg.0 += 1;
+                    agg.1 += e.val;
+                }
+                EvKind::Instant => instant_ids[e.name as usize] += 1,
+                _ => {}
+            }
         }
+        let mut spans: BTreeMap<&'static str, (u64, u64)> = BTreeMap::new();
         let mut instants: BTreeMap<&'static str, u64> = BTreeMap::new();
-        for i in self.events(EvKind::Instant) {
-            *instants.entry(self.label(i.name)).or_insert(0) += 1;
+        for (name, (&(count, total), &instant)) in
+            (self.sink.labels.names.iter()).zip(span_ids.iter().zip(&instant_ids))
+        {
+            if count > 0 {
+                let agg = spans.entry(name).or_insert((0, 0));
+                agg.0 += count;
+                agg.1 += total;
+            }
+            if instant > 0 {
+                *instants.entry(name).or_insert(0) += instant;
+            }
         }
         let mut counters: BTreeMap<&'static str, u64> = BTreeMap::new();
         for (idx, v) in self.sink.counters.iter().enumerate() {
@@ -1039,46 +1144,54 @@ impl TelemetryReport {
             }
         }
 
-        let mut out = String::new();
-        out.push_str("{\n  \"counters\": {");
-        write_map(&mut out, counters.iter(), |out, (name, v)| {
-            let _ = write!(out, "\"{}\": {}", escape(name), v);
-        });
-        out.push_str("},\n  \"spans\": {");
-        write_map(&mut out, spans.iter(), |out, (name, (n, total))| {
-            let _ = write!(
-                out,
-                "\"{}\": {{\"count\": {n}, \"total_ns\": {total}}}",
-                escape(name)
-            );
-        });
-        out.push_str("},\n  \"instants\": {");
-        write_map(&mut out, instants.iter(), |out, (name, n)| {
-            let _ = write!(out, "\"{}\": {n}", escape(name));
-        });
-        out.push_str("},\n  \"histograms\": {");
-        write_map(&mut out, histograms.iter(), |out, (name, h)| {
-            let _ = write!(
-                out,
-                "\"{}\": {{\"count\": {}, \"sum_ns\": {}, \"max_ns\": {}, \"p50_ns\": {}, \"p90_ns\": {}, \"p99_ns\": {}}}",
-                escape(name),
-                h.count(),
-                h.sum().as_nanos(),
-                h.max().as_nanos(),
-                h.percentile(0.50).as_nanos(),
-                h.percentile(0.90).as_nanos(),
-                h.percentile(0.99).as_nanos()
-            );
-        });
-        out.push_str("}\n}\n");
-        out
+        out.str("{\n  \"counters\": {");
+        out.map(counters.iter(), |out, (name, &v)| {
+            out.key(name);
+            out.uint(v);
+            Ok(())
+        })?;
+        out.str("},\n  \"spans\": {");
+        out.map(spans.iter(), |out, (name, &(count, total))| {
+            out.key(name);
+            out.str("{\"count\": ");
+            out.uint(count);
+            out.str(", \"total_ns\": ");
+            out.uint(total);
+            out.str("}");
+            Ok(())
+        })?;
+        out.str("},\n  \"instants\": {");
+        out.map(instants.iter(), |out, (name, &count)| {
+            out.key(name);
+            out.uint(count);
+            Ok(())
+        })?;
+        out.str("},\n  \"histograms\": {");
+        out.map(histograms.iter(), |out, (name, h)| {
+            out.key(name);
+            for (field, v) in [
+                ("{\"count\": ", h.count()),
+                (", \"sum_ns\": ", h.sum().as_nanos()),
+                (", \"max_ns\": ", h.max().as_nanos()),
+                (", \"p50_ns\": ", h.percentile(0.50).as_nanos()),
+                (", \"p90_ns\": ", h.percentile(0.90).as_nanos()),
+                (", \"p99_ns\": ", h.percentile(0.99).as_nanos()),
+            ] {
+                out.str(field);
+                out.uint(v);
+            }
+            out.str("}");
+            Ok(())
+        })?;
+        out.str("}\n}\n");
+        Ok(())
     }
 }
 
 /// Lookup table from `(pid, tid)` to the human-readable track name, built
 /// once per export.
 struct TrackLabels<'a> {
-    map: std::collections::HashMap<(u32, u64), &'a str>,
+    map: HashMap<(u32, u64), &'a str>,
 }
 
 impl TrackLabels<'_> {
@@ -1090,53 +1203,154 @@ impl TrackLabels<'_> {
     }
 }
 
-/// Write `items` as the body of a JSON object: 4-space-indented lines, one
-/// entry per line, no trailing comma.
-fn write_map<T>(
-    out: &mut String,
-    items: impl ExactSizeIterator<Item = T>,
-    mut write_entry: impl FnMut(&mut String, T),
-) {
-    let n = items.len();
-    for (i, item) in items.enumerate() {
-        out.push_str("\n    ");
-        write_entry(out, item);
-        if i + 1 < n {
-            out.push(',');
+/// Bytes an export collects before handing them to its writer.
+const CHUNK: usize = 1 << 16;
+
+/// The byte writer behind the three exports. Output accumulates in `buf`;
+/// [`Out::spill`] hands it to the underlying writer once it passes `limit`,
+/// so a streamed export holds one chunk at a time, while an in-memory
+/// render (`limit` = `usize::MAX`) fills its pre-sized buffer in place.
+/// Integers are written as digits directly, with no `fmt` machinery.
+struct Out<W> {
+    buf: Vec<u8>,
+    w: W,
+    limit: usize,
+}
+
+impl Out<io::Sink> {
+    /// Render into one buffer of `capacity` bytes and return it as text.
+    fn render(capacity: usize, f: impl FnOnce(&mut Self) -> io::Result<()>) -> String {
+        let mut out = Out {
+            buf: Vec::with_capacity(capacity),
+            w: io::sink(),
+            limit: usize::MAX,
+        };
+        f(&mut out).expect("rendering into memory cannot fail");
+        String::from_utf8(out.buf).expect("exports are UTF-8")
+    }
+}
+
+impl<W: io::Write> Out<W> {
+    /// Render into `w`, one [`CHUNK`] at a time.
+    fn stream(w: W, f: impl FnOnce(&mut Self) -> io::Result<()>) -> io::Result<()> {
+        let mut out = Out {
+            buf: Vec::with_capacity(CHUNK + 1024),
+            w,
+            limit: CHUNK,
+        };
+        f(&mut out)?;
+        out.w.write_all(&out.buf)?;
+        out.w.flush()
+    }
+
+    /// Hand the buffer to the writer once it holds `limit` bytes or more.
+    fn spill(&mut self) -> io::Result<()> {
+        if self.buf.len() >= self.limit {
+            self.w.write_all(&self.buf)?;
+            self.buf.clear();
         }
+        Ok(())
     }
-    if n > 0 {
-        out.push_str("\n  ");
+
+    fn str(&mut self, s: &str) {
+        self.buf.extend_from_slice(s.as_bytes());
     }
-}
 
-/// Nanoseconds displayed as microseconds with three decimals (Chrome's `ts`
-/// unit is µs; the fraction keeps full nanosecond precision).
-struct Us(u64);
-
-impl std::fmt::Display for Us {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}.{:03}", self.0 / 1000, self.0 % 1000)
+    fn bytes(&mut self, b: &[u8]) {
+        self.buf.extend_from_slice(b);
     }
-}
 
-/// Minimal JSON string escaping (quotes, backslashes, control characters).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    fn escaped(&mut self, s: &str) {
+        escape_json(&mut self.buf, s);
+    }
+
+    /// `"<name>": ` — a metrics object key.
+    fn key(&mut self, name: &str) {
+        self.str("\"");
+        self.escaped(name);
+        self.str("\": ");
+    }
+
+    fn uint(&mut self, mut v: u64) {
+        let mut digits = [0u8; 20];
+        let mut i = digits.len();
+        loop {
+            i -= 1;
+            digits[i] = b'0' + (v % 10) as u8;
+            v /= 10;
+            if v == 0 {
+                break;
             }
-            c => out.push(c),
         }
+        self.buf.extend_from_slice(&digits[i..]);
     }
-    out
+
+    /// Nanoseconds as microseconds with three decimals (Chrome's `ts` unit
+    /// is µs; the fraction keeps full nanosecond precision).
+    fn micros(&mut self, ns: u64) {
+        self.uint(ns / 1000);
+        let frac = ns % 1000;
+        let digit = |d: u64| b'0' + d as u8;
+        (self.buf).extend_from_slice(&[
+            b'.',
+            digit(frac / 100),
+            digit(frac / 10 % 10),
+            digit(frac % 10),
+        ]);
+    }
+
+    /// Write `items` as the body of a JSON object: 4-space-indented lines,
+    /// one entry per line, no trailing comma.
+    fn map<T>(
+        &mut self,
+        items: impl ExactSizeIterator<Item = T>,
+        mut entry: impl FnMut(&mut Self, T) -> io::Result<()>,
+    ) -> io::Result<()> {
+        let n = items.len();
+        for (i, item) in items.enumerate() {
+            self.str("\n    ");
+            entry(self, item)?;
+            if i + 1 < n {
+                self.str(",");
+            }
+        }
+        if n > 0 {
+            self.str("\n  ");
+        }
+        Ok(())
+    }
+}
+
+/// Append `s` to `out` as the inside of a JSON string: `"` and `\` are
+/// backslash-escaped, `\n`, `\r` and `\t` take their short escapes, other
+/// control characters become `\u00XX`, and everything else (non-ASCII
+/// included) passes through unchanged.
+pub fn escape_json(out: &mut Vec<u8>, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let bytes = s.as_bytes();
+    let mut start = 0;
+    for (i, &b) in bytes.iter().enumerate() {
+        let short: &[u8] = match b {
+            b'"' => b"\\\"",
+            b'\\' => b"\\\\",
+            b'\n' => b"\\n",
+            b'\r' => b"\\r",
+            b'\t' => b"\\t",
+            0..=0x1f => &[
+                b'\\',
+                b'u',
+                b'0',
+                b'0',
+                HEX[usize::from(b >> 4)],
+                HEX[usize::from(b & 15)],
+            ],
+            _ => continue,
+        };
+        out.extend_from_slice(&bytes[start..i]);
+        out.extend_from_slice(short);
+        start = i + 1;
+    }
+    out.extend_from_slice(&bytes[start..]);
 }
 
 #[cfg(test)]
@@ -1306,8 +1520,13 @@ mod tests {
 
     #[test]
     fn escape_handles_specials() {
+        let escape = |s: &str| {
+            let mut out = Vec::new();
+            escape_json(&mut out, s);
+            String::from_utf8(out).unwrap()
+        };
         assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape("\u{1}"), "\\u0001");
+        assert_eq!(escape("\u{1}\u{1f}é"), "\\u0001\\u001fé");
     }
 
     #[test]

@@ -34,7 +34,14 @@ fn synthetic() -> TelemetryReport {
         telemetry::span_with_id(pid, w, "create", "op", t(1_234), t(5_678), op, 0);
         telemetry::span_with_id(pid, s, "rpc", "rpc", t(2_000), t(4_999), rpc, op);
         telemetry::span_with_id(pid, s, "commit", "bg", t(7), t(7), 0, op);
-        telemetry::span(pid, w, HOSTILE, "x\ty", t(12_345_678_901), t(12_345_679_000));
+        telemetry::span(
+            pid,
+            w,
+            HOSTILE,
+            "x\ty",
+            t(12_345_678_901),
+            t(12_345_679_000),
+        );
         telemetry::span(pid, w, "create", "op", t(999), t(1_999));
         telemetry::instant(pid, s, "snapshot", HOSTILE, t(9_000));
         telemetry::flow_start(pid, w, "rpc", "rpc", t(2_000), rpc);
@@ -137,16 +144,63 @@ const TIMESERIES: &str = r#"{
 }
 "#;
 
-/// Escaped forms: the short escapes for `\n`, `\r`, `\t`, `\u00XX` for
-/// other control characters, and non-ASCII passed through.
-const HOSTILE_ESCAPED: &str = r#"q\"b\\n\nr\rt\tc\u0001é✓"#;
-
 #[test]
 fn synthetic_exports_are_pinned_byte_for_byte() {
     let r = synthetic();
     assert_eq!(r.to_chrome_trace_json(), CHROME, "chrome trace drifted");
     assert_eq!(r.to_metrics_json(), METRICS, "metrics drifted");
     assert_eq!(r.to_timeseries_json(), TIMESERIES, "timeseries drifted");
+}
+
+/// The one JSON string escaper: `"` and `\` backslashed, the short forms
+/// for `\n`, `\r` and `\t`, `\u00XX` for other control characters, and
+/// non-ASCII passed through.
+#[test]
+fn escaper_writes_short_and_unicode_forms() {
+    let mut out = b"<".to_vec();
+    telemetry::escape_json(&mut out, HOSTILE);
+    assert_eq!(
+        String::from_utf8(out).unwrap(),
+        r#"<q\"b\\n\nr\rt\tc\u0001é✓"#
+    );
+}
+
+/// The analyzer's JSON escapes through the same escaper as the exports;
+/// the ranking covers every top-k tie-break and the truncation to k.
+const CRITPATH: &str = r#"{
+  "schema": "dmetabench.critpath/v1",
+  "scenario": "q\"b\\n\nr\rt\tc\u0001é✓",
+  "totals_ns": {"client": 8844, "network": 300, "queue": 180, "service": 120, "lock": 0},
+  "dur_total_ns": 9444,
+  "ops": [
+    {"name": "create", "count": 5, "dur_total_ns": 8444, "dur_p50_ns": 1023, "dur_p99_ns": 4444, "cache_hits": 2, "cache_misses": 2, "segments": {"client": {"total_ns": 7944, "p50_ns": 1023, "p99_ns": 4344}, "network": {"total_ns": 250, "p50_ns": 50, "p99_ns": 50}, "queue": {"total_ns": 150, "p50_ns": 30, "p99_ns": 30}, "service": {"total_ns": 100, "p50_ns": 20, "p99_ns": 20}, "lock": {"total_ns": 0, "p50_ns": 0, "p99_ns": 0}}},
+    {"name": "stat", "count": 1, "dur_total_ns": 1000, "dur_p50_ns": 1000, "dur_p99_ns": 1000, "cache_hits": 0, "cache_misses": 0, "segments": {"client": {"total_ns": 900, "p50_ns": 900, "p99_ns": 900}, "network": {"total_ns": 50, "p50_ns": 50, "p99_ns": 50}, "queue": {"total_ns": 30, "p50_ns": 30, "p99_ns": 30}, "service": {"total_ns": 20, "p50_ns": 20, "p99_ns": 20}, "lock": {"total_ns": 0, "p50_ns": 0, "p99_ns": 0}}}
+  ],
+  "slowest": [
+    {"name": "create", "id": 1, "process": "model \"a\"\\\n\r\t\u0001é", "track": "node\"00\"/p0\t\u0001ü", "start_ns": 1234, "dur_ns": 4444, "cache": "miss", "segments": {"client": 4344, "network": 50, "queue": 30, "service": 20, "lock": 0}},
+    {"name": "stat", "id": 3, "process": "model \"a\"\\\n\r\t\u0001é", "track": "tid1", "start_ns": 500, "dur_ns": 1000, "cache": "untagged", "segments": {"client": 900, "network": 50, "queue": 30, "service": 20, "lock": 0}},
+    {"name": "create", "id": 2, "process": "model \"a\"\\\n\r\t\u0001é", "track": "node\"00\"/p0\t\u0001ü", "start_ns": 1234, "dur_ns": 1000, "cache": "hit", "segments": {"client": 900, "network": 50, "queue": 30, "service": 20, "lock": 0}},
+    {"name": "create", "id": 6, "process": "model \"a\"\\\n\r\t\u0001é", "track": "node\"00\"/p0\t\u0001ü", "start_ns": 1234, "dur_ns": 1000, "cache": "untagged", "segments": {"client": 900, "network": 50, "queue": 30, "service": 20, "lock": 0}},
+    {"name": "create", "id": 5, "process": "model \"a\"\\\n\r\t\u0001é", "track": "tid1", "start_ns": 1234, "dur_ns": 1000, "cache": "hit", "segments": {"client": 900, "network": 50, "queue": 30, "service": 20, "lock": 0}}
+  ],
+  "consistency": {"records": 6, "segment_sum_ns": 9444, "dur_sum_ns": 9444, "mismatched_records": 0, "hist_count": 6, "hist_sum_ns": 9444, "consistent": true}
+}
+"#;
+
+/// `(length, FNV-1a)` of the analyzer's Markdown, which passes names
+/// through unescaped.
+const REPORT_MD: (usize, u64) = (1_369, 0x90dc_26be_b245_2d8e);
+
+#[test]
+fn synthetic_analysis_is_pinned() {
+    let a = analyze::analyze(&synthetic(), 5);
+    assert_eq!(a.to_json(HOSTILE), CRITPATH, "critpath drifted");
+    let md = a.to_markdown(HOSTILE);
+    assert_eq!(
+        (md.len(), fnv1a(md.as_bytes())),
+        REPORT_MD,
+        "report drifted"
+    );
 }
 
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -184,4 +238,27 @@ fn scenario_exports_are_pinned_by_digest() {
         .map(|(&(name, _, _), bytes)| (name, bytes.len(), fnv1a(bytes.as_bytes())))
         .collect();
     assert_eq!(got, SCENARIO_PIN, "{SCENARIO} exports drifted");
+    assert_writers_match_wrappers(&t);
+}
+
+/// Each streaming writer emits exactly its `to_*_json` wrapper's bytes.
+fn assert_writers_match_wrappers(t: &TelemetryReport) {
+    let mut buf = Vec::new();
+    t.write_chrome_trace(&mut buf).unwrap();
+    assert_eq!(
+        buf,
+        t.to_chrome_trace_json().as_bytes(),
+        "write_chrome_trace"
+    );
+    buf.clear();
+    t.write_metrics(&mut buf).unwrap();
+    assert_eq!(buf, t.to_metrics_json().as_bytes(), "write_metrics");
+    buf.clear();
+    t.write_timeseries(&mut buf).unwrap();
+    assert_eq!(buf, t.to_timeseries_json().as_bytes(), "write_timeseries");
+}
+
+#[test]
+fn synthetic_writers_match_wrappers() {
+    assert_writers_match_wrappers(&synthetic());
 }
