@@ -908,105 +908,88 @@ impl TelemetryReport {
         let label = |id: u32| labels[id as usize].as_slice();
         out.str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
         let mut sep = "\n ";
+        let mut next = |out: &mut Out<W>| out.str(std::mem::replace(&mut sep, ",\n "));
         for p in &self.sink.processes {
-            out.str(sep);
-            sep = ",\n ";
-            out.str("{\"ph\":\"M\",\"pid\":");
-            out.uint(p.pid.into());
+            next(out);
+            out.num("{\"ph\":\"M\",\"pid\":", p.pid.into());
             out.str(",\"tid\":0,\"name\":\"process_name\",\"args\":{\"name\":\"");
             out.escaped(&p.name);
             out.str("\"}}");
         }
         for t in &self.sink.threads {
-            out.str(sep);
-            sep = ",\n ";
-            out.str("{\"ph\":\"M\",\"pid\":");
-            out.uint(t.pid.into());
-            out.str(",\"tid\":");
-            out.uint(t.tid);
+            next(out);
+            out.num("{\"ph\":\"M\",\"pid\":", t.pid.into());
+            out.num(",\"tid\":", t.tid);
             out.str(",\"name\":\"thread_name\",\"args\":{\"name\":\"");
             out.escaped(&t.name);
             out.str("\"}}");
         }
-        for s in self.events(EvKind::Span) {
-            out.str(sep);
-            sep = ",\n ";
-            out.str("{\"ph\":\"X\",\"pid\":");
-            out.uint(s.pid.into());
-            out.str(",\"tid\":");
-            out.uint(s.tid);
-            out.str(",\"ts\":");
-            out.micros(s.ts_ns);
-            out.str(",\"dur\":");
-            out.micros(s.val);
-            out.str(",\"name\":\"");
-            out.bytes(label(s.name));
-            out.str("\",\"cat\":\"");
-            out.bytes(label(s.cat));
+        // one pass over the event buffer: spans are written as they come,
+        // and the kinds written after them are remembered by index
+        let (mut instants, mut flows, mut gauges) = (Vec::new(), Vec::new(), Vec::new());
+        for (i, s) in self.sink.events.iter().enumerate() {
+            match s.kind {
+                EvKind::Span => {}
+                EvKind::Instant => {
+                    instants.push(i);
+                    continue;
+                }
+                EvKind::FlowStart | EvKind::FlowFinish => {
+                    flows.push(i);
+                    continue;
+                }
+                EvKind::Gauge => {
+                    gauges.push(i);
+                    continue;
+                }
+            }
+            next(out);
+            out.num("{\"ph\":\"X\",\"pid\":", s.pid.into());
+            out.num(",\"tid\":", s.tid);
+            out.micros(",\"ts\":", s.ts_ns);
+            out.micros(",\"dur\":", s.val);
+            out.raw(",\"name\":\"", label(s.name));
+            out.raw("\",\"cat\":\"", label(s.cat));
             match (s.id, s.parent) {
                 (0, 0) => out.str("\"}"),
-                (id, 0) => {
-                    out.str("\",\"args\":{\"id\":");
-                    out.uint(id);
-                    out.str("}}");
-                }
-                (0, parent) => {
-                    out.str("\",\"args\":{\"parent\":");
-                    out.uint(parent);
-                    out.str("}}");
-                }
+                (id, 0) => out.num("\",\"args\":{\"id\":", id),
+                (0, parent) => out.num("\",\"args\":{\"parent\":", parent),
                 (id, parent) => {
-                    out.str("\",\"args\":{\"id\":");
-                    out.uint(id);
-                    out.str(",\"parent\":");
-                    out.uint(parent);
-                    out.str("}}");
+                    out.num("\",\"args\":{\"id\":", id);
+                    out.num(",\"parent\":", parent);
                 }
+            }
+            if (s.id, s.parent) != (0, 0) {
+                out.str("}}");
             }
             out.spill()?;
         }
-        for i in self.events(EvKind::Instant) {
-            out.str(sep);
-            sep = ",\n ";
-            out.str("{\"ph\":\"i\",\"pid\":");
-            out.uint(i.pid.into());
-            out.str(",\"tid\":");
-            out.uint(i.tid);
-            out.str(",\"ts\":");
-            out.micros(i.ts_ns);
-            out.str(",\"s\":\"t\",\"name\":\"");
-            out.bytes(label(i.name));
-            out.str("\",\"cat\":\"");
-            out.bytes(label(i.cat));
+        let events = |idx: Vec<usize>| idx.into_iter().map(|i| &self.sink.events[i]);
+        for i in events(instants) {
+            next(out);
+            out.num("{\"ph\":\"i\",\"pid\":", i.pid.into());
+            out.num(",\"tid\":", i.tid);
+            out.micros(",\"ts\":", i.ts_ns);
+            out.raw(",\"s\":\"t\",\"name\":\"", label(i.name));
+            out.raw("\",\"cat\":\"", label(i.cat));
             out.str("\"}");
             out.spill()?;
         }
-        for f in self
-            .sink
-            .events
-            .iter()
-            .filter(|e| matches!(e.kind, EvKind::FlowStart | EvKind::FlowFinish))
-        {
-            out.str(sep);
-            sep = ",\n ";
+        for f in events(flows) {
+            next(out);
             // `bp:"e"` binds the finish to its enclosing slice, which is what
             // makes Perfetto draw the arrow onto the server-side span.
-            out.str(if f.kind == EvKind::FlowStart {
+            let head = if f.kind == EvKind::FlowStart {
                 "{\"ph\":\"s\",\"pid\":"
             } else {
                 "{\"ph\":\"f\",\"bp\":\"e\",\"pid\":"
-            });
-            out.uint(f.pid.into());
-            out.str(",\"tid\":");
-            out.uint(f.tid);
-            out.str(",\"ts\":");
-            out.micros(f.ts_ns);
-            out.str(",\"id\":");
-            out.uint(f.id);
-            out.str(",\"name\":\"");
-            out.bytes(label(f.name));
-            out.str("\",\"cat\":\"");
-            out.bytes(label(f.cat));
+            };
+            out.num(head, f.pid.into());
+            out.num(",\"tid\":", f.tid);
+            out.micros(",\"ts\":", f.ts_ns);
+            out.num(",\"id\":", f.id);
+            out.raw(",\"name\":\"", label(f.name));
+            out.raw("\",\"cat\":\"", label(f.cat));
             out.str("\"}");
             out.spill()?;
         }
@@ -1015,23 +998,19 @@ impl TelemetryReport {
         // series' escaped "<track> <gauge>" is built on its first sample
         let tracks = self.track_labels();
         let mut names: HashMap<(u32, u64, u32), Vec<u8>> = HashMap::new();
-        for g in self.events(EvKind::Gauge) {
-            out.str(sep);
-            sep = ",\n ";
-            out.str("{\"ph\":\"C\",\"pid\":");
-            out.uint(g.pid.into());
-            out.str(",\"tid\":0,\"ts\":");
-            out.micros(g.ts_ns);
-            out.str(",\"name\":\"");
-            out.bytes(names.entry((g.pid, g.tid, g.name)).or_insert_with(|| {
+        for g in events(gauges) {
+            next(out);
+            out.num("{\"ph\":\"C\",\"pid\":", g.pid.into());
+            out.micros(",\"tid\":0,\"ts\":", g.ts_ns);
+            let name = names.entry((g.pid, g.tid, g.name)).or_insert_with(|| {
                 let mut name = Vec::new();
                 escape_json(&mut name, &tracks.label(g.pid, g.tid));
                 name.push(b' ');
                 name.extend_from_slice(label(g.name));
                 name
-            }));
-            out.str("\",\"args\":{\"value\":");
-            out.uint(g.val);
+            });
+            out.raw(",\"name\":\"", name);
+            out.num("\",\"args\":{\"value\":", g.val);
             out.str("}}");
             out.spill()?;
         }
@@ -1065,17 +1044,11 @@ impl TelemetryReport {
         series.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         out.str("{\n  \"schema\": \"dmetabench.timeseries/v1\",\n  \"series\": {");
         out.map(series.iter(), |out, (key, points)| {
-            out.str("\"");
-            out.escaped(key);
-            out.str("\": [");
+            out.key(key);
+            out.str("[");
             for (i, &(ts, v)) in points.iter().enumerate() {
-                if i > 0 {
-                    out.str(",");
-                }
-                out.str("[");
-                out.uint(ts);
-                out.str(",");
-                out.uint(v);
+                out.num(if i == 0 { "[" } else { ",[" }, ts);
+                out.num(",", v);
                 out.str("]");
                 out.spill()?;
             }
@@ -1147,23 +1120,21 @@ impl TelemetryReport {
         out.str("{\n  \"counters\": {");
         out.map(counters.iter(), |out, (name, &v)| {
             out.key(name);
-            out.uint(v);
+            out.num("", v);
             Ok(())
         })?;
         out.str("},\n  \"spans\": {");
         out.map(spans.iter(), |out, (name, &(count, total))| {
             out.key(name);
-            out.str("{\"count\": ");
-            out.uint(count);
-            out.str(", \"total_ns\": ");
-            out.uint(total);
+            out.num("{\"count\": ", count);
+            out.num(", \"total_ns\": ", total);
             out.str("}");
             Ok(())
         })?;
         out.str("},\n  \"instants\": {");
         out.map(instants.iter(), |out, (name, &count)| {
             out.key(name);
-            out.uint(count);
+            out.num("", count);
             Ok(())
         })?;
         out.str("},\n  \"histograms\": {");
@@ -1177,8 +1148,7 @@ impl TelemetryReport {
                 (", \"p90_ns\": ", h.percentile(0.90).as_nanos()),
                 (", \"p99_ns\": ", h.percentile(0.99).as_nanos()),
             ] {
-                out.str(field);
-                out.uint(v);
+                out.num(field, v);
             }
             out.str("}");
             Ok(())
@@ -1256,39 +1226,55 @@ impl<W: io::Write> Out<W> {
         self.buf.extend_from_slice(s.as_bytes());
     }
 
-    fn bytes(&mut self, b: &[u8]) {
-        self.buf.extend_from_slice(b);
-    }
-
     fn escaped(&mut self, s: &str) {
         escape_json(&mut self.buf, s);
     }
 
-    /// `"<name>": ` — a metrics object key.
+    /// `prefix`, then already-escaped bytes.
+    fn raw(&mut self, prefix: &str, escaped: &[u8]) {
+        self.str(prefix);
+        self.buf.extend_from_slice(escaped);
+    }
+
+    /// `"<name>": ` — an object key.
     fn key(&mut self, name: &str) {
         self.str("\"");
         self.escaped(name);
         self.str("\": ");
     }
 
-    fn uint(&mut self, mut v: u64) {
+    /// `prefix`, then `v` in decimal.
+    fn num(&mut self, prefix: &str, mut v: u64) {
+        self.str(prefix);
+        // two digits per division, from a table of "00".."99"
+        const PAIRS: &[u8; 200] = b"0001020304050607080910111213141516171819\
+            2021222324252627282930313233343536373839\
+            4041424344454647484950515253545556575859\
+            6061626364656667686970717273747576777879\
+            8081828384858687888990919293949596979899";
         let mut digits = [0u8; 20];
         let mut i = digits.len();
-        loop {
+        while v >= 100 {
+            let pair = (v % 100) as usize * 2;
+            v /= 100;
+            i -= 2;
+            digits[i..i + 2].copy_from_slice(&PAIRS[pair..pair + 2]);
+        }
+        if v >= 10 {
+            i -= 2;
+            digits[i..i + 2].copy_from_slice(&PAIRS[v as usize * 2..v as usize * 2 + 2]);
+        } else {
             i -= 1;
-            digits[i] = b'0' + (v % 10) as u8;
-            v /= 10;
-            if v == 0 {
-                break;
-            }
+            digits[i] = b'0' + v as u8;
         }
         self.buf.extend_from_slice(&digits[i..]);
     }
 
-    /// Nanoseconds as microseconds with three decimals (Chrome's `ts` unit
-    /// is µs; the fraction keeps full nanosecond precision).
-    fn micros(&mut self, ns: u64) {
-        self.uint(ns / 1000);
+    /// `prefix`, then nanoseconds as microseconds with three decimals
+    /// (Chrome's `ts` unit is µs; the fraction keeps full nanosecond
+    /// precision).
+    fn micros(&mut self, prefix: &str, ns: u64) {
+        self.num(prefix, ns / 1000);
         let frac = ns % 1000;
         let digit = |d: u64| b'0' + d as u8;
         (self.buf).extend_from_slice(&[

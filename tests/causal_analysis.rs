@@ -248,3 +248,41 @@ fn analyzer_exports_are_valid_json() {
     assert!(md.contains("CONSISTENT"));
     assert!(md.contains("| queue |"));
 }
+
+/// Registered scenarios that complete no simulated operation: tables and
+/// pipeline examples computed without the engine, the host wall-clock
+/// harness study, and the crash and scrub drills, which drive memfs
+/// directly.
+const OP_LESS: [&str; 5] = [
+    "exp_tab_3_1",
+    "exp_fig_3_4",
+    "exp_tab_4_2",
+    "exp_crash_recovery",
+    "exp_scrub_tax",
+];
+
+/// Latency tiling on every scenario: each registered scenario, traced once
+/// at the default engine, analyzes consistently, with op records exactly
+/// where it completes operations. Runs one scenario at a time, so only one
+/// capture is alive (the traced `exp_4_3_filecreation` is the largest, with
+/// about 15M op records). CI runs it in release via `-- --include-ignored`.
+#[test]
+#[ignore = "traces the full registry; run in release (CI --include-ignored)"]
+fn every_scenario_tiles_op_latency() {
+    for s in suite::registry() {
+        let t = traced(s.id);
+        let c = analyze::analyze(&t, 0).consistency;
+        assert!(
+            c.consistent,
+            "{}: segments do not tile op latency: {c:?}",
+            s.id
+        );
+        assert_eq!(
+            c.records > 0,
+            !OP_LESS.contains(&s.id),
+            "{}: {} op records",
+            s.id,
+            c.records
+        );
+    }
+}
