@@ -203,9 +203,10 @@ pub fn analyze(report: &TelemetryReport, top_k: usize) -> Analysis {
             CacheTag::Miss => g.misses += 1,
             CacheTag::Untagged => {}
         }
+        let segment_sum = r.segment_sum_ns();
         dur_total_ns += r.dur_ns;
-        segment_sum_ns += r.segment_sum_ns();
-        mismatched += u64::from(r.segment_sum_ns() != r.dur_ns);
+        segment_sum_ns += segment_sum;
+        mismatched += u64::from(segment_sum != r.dur_ns);
 
         let rank = (Reverse(r.dur_ns), r.start_ns, r.pid, r.tid, i);
         if top.len() < top_k {

@@ -852,6 +852,8 @@ impl TelemetryReport {
     /// [`TelemetryReport::write_chrome_trace`], rendered into memory.
     #[must_use]
     pub fn to_chrome_trace_json(&self) -> String {
+        // events average about 104 bytes; sizing above that means the
+        // string is never regrown, which would hold two copies at once
         Out::render(128 + 112 * self.sink.events.len(), |out| {
             self.chrome_trace(out)
         })
@@ -869,7 +871,7 @@ impl TelemetryReport {
     /// sample order. Byte-deterministic like the other exports.
     #[must_use]
     pub fn to_timeseries_json(&self) -> String {
-        Out::render(64 + 24 * self.sink.events.len(), |out| self.timeseries(out))
+        Out::render(4096, |out| self.timeseries(out))
     }
 
     /// Stream the timeseries JSON of
@@ -964,8 +966,8 @@ impl TelemetryReport {
             }
             out.spill()?;
         }
-        let events = |idx: Vec<usize>| idx.into_iter().map(|i| &self.sink.events[i]);
-        for i in events(instants) {
+        let indexed = |idx: Vec<usize>| idx.into_iter().map(|i| &self.sink.events[i]);
+        for i in indexed(instants) {
             next(out);
             out.num("{\"ph\":\"i\",\"pid\":", i.pid.into());
             out.num(",\"tid\":", i.tid);
@@ -975,7 +977,7 @@ impl TelemetryReport {
             out.str("\"}");
             out.spill()?;
         }
-        for f in events(flows) {
+        for f in indexed(flows) {
             next(out);
             // `bp:"e"` binds the finish to its enclosing slice, which is what
             // makes Perfetto draw the arrow onto the server-side span.
@@ -998,7 +1000,7 @@ impl TelemetryReport {
         // series' escaped "<track> <gauge>" is built on its first sample
         let tracks = self.track_labels();
         let mut names: HashMap<(u32, u64, u32), Vec<u8>> = HashMap::new();
-        for g in events(gauges) {
+        for g in indexed(gauges) {
             next(out);
             out.num("{\"ph\":\"C\",\"pid\":", g.pid.into());
             out.micros(",\"tid\":0,\"ts\":", g.ts_ns);
@@ -1246,26 +1248,15 @@ impl<W: io::Write> Out<W> {
     /// `prefix`, then `v` in decimal.
     fn num(&mut self, prefix: &str, mut v: u64) {
         self.str(prefix);
-        // two digits per division, from a table of "00".."99"
-        const PAIRS: &[u8; 200] = b"0001020304050607080910111213141516171819\
-            2021222324252627282930313233343536373839\
-            4041424344454647484950515253545556575859\
-            6061626364656667686970717273747576777879\
-            8081828384858687888990919293949596979899";
         let mut digits = [0u8; 20];
         let mut i = digits.len();
-        while v >= 100 {
-            let pair = (v % 100) as usize * 2;
-            v /= 100;
-            i -= 2;
-            digits[i..i + 2].copy_from_slice(&PAIRS[pair..pair + 2]);
-        }
-        if v >= 10 {
-            i -= 2;
-            digits[i..i + 2].copy_from_slice(&PAIRS[v as usize * 2..v as usize * 2 + 2]);
-        } else {
+        loop {
             i -= 1;
-            digits[i] = b'0' + v as u8;
+            digits[i] = b'0' + (v % 10) as u8;
+            v /= 10;
+            if v == 0 {
+                break;
+            }
         }
         self.buf.extend_from_slice(&digits[i..]);
     }
