@@ -6,21 +6,21 @@
 //! executes the stage plans its model compiles. There are two ways to drive
 //! domains:
 //!
-//! * **Unpartitioned** — the default, and the path of every model that
-//!   declines [`DistFs::partition`]. One domain owns every server, CPU and
+//! * **Unpartitioned** — the path of every model that declines
+//!   [`DistFs::partition`]. One domain owns every server, CPU and
 //!   semaphore, and a plain `pop → dispatch` loop runs it until the last
 //!   worker finishes.
-//! * **Partitioned** — `--sim-threads` (or
-//!   [`pin_windowed_engine`](crate::SimConfig::pin_windowed_engine)) is set
-//!   and the model offers a domain decomposition ([`dfs::PartitionPlan`]):
-//!   disjoint server groups and client nodes that interact only through the
-//!   network. Each domain runs inside the synchronized lookahead windows of
-//!   [`simcore::par`]. Cross-domain RPCs travel as mailbox messages: the
-//!   client domain converts a `NetDelay → Server(remote) → NetDelay` stage
-//!   triple into a request message that lands on the server domain one
-//!   network latency later (≥ the lookahead, by construction), and the reply
-//!   message resumes the worker the same way. When the run ends, the domain
-//!   replicas go back to the caller's model through [`DistFs::rejoin`].
+//! * **Partitioned** — the path of every model that offers a domain
+//!   decomposition ([`dfs::PartitionPlan`]): disjoint server groups and
+//!   client nodes that interact only through the network. Each domain runs
+//!   inside the synchronized lookahead windows of [`simcore::par`], on
+//!   `--sim-threads` OS threads (default 1). Cross-domain RPCs travel as
+//!   mailbox messages: the client domain converts a `NetDelay →
+//!   Server(remote) → NetDelay` stage triple into a request message that
+//!   lands on the server domain one network latency later (≥ the lookahead,
+//!   by construction), and the reply message resumes the worker the same
+//!   way. When the run ends, the domain replicas go back to the caller's
+//!   model through [`DistFs::rejoin`].
 //!
 //! # Determinism
 //!
@@ -36,9 +36,10 @@
 //!   by the run's [`par::WindowStats`] as the counters `par.windows` and
 //!   `par.messages`.
 //!
-//! `--sim-threads 1` therefore runs the *same* windowed algorithm — just on
-//! one thread — and produces byte-identical results, traces, metrics and
-//! timeseries to `--sim-threads N` (pinned by `tests/parsim_determinism.rs`).
+//! `--sim-threads 1` (the default) therefore runs the *same* windowed
+//! algorithm — just on one thread — and produces byte-identical results,
+//! traces, metrics and timeseries to `--sim-threads N` (pinned by
+//! `tests/parsim_determinism.rs`).
 //! An unpartitioned run seeds its one domain with `DetRng::new(config.seed)`
 //! and records straight into the caller's capture.
 //!
@@ -72,27 +73,21 @@ use crate::simengine::{
     op_label, Disturbance, OpStream, SimConfig, SimRunResult, WorkerSpec, WorkerTrace,
 };
 
-/// `--sim-threads` state: 0 = unset (every model runs unpartitioned, as one
-/// domain — the default), N ≥ 1 = run partitionable models on the windowed
-/// engine with N OS threads.
-static SIM_THREADS: AtomicUsize = AtomicUsize::new(0);
+/// `--sim-threads`: how many OS threads run a partitioned model's domains.
+static SIM_THREADS: AtomicUsize = AtomicUsize::new(1);
 
-/// Select how partitionable models run: `Some(n)` runs them as one domain
-/// per partition on the conservative windowed engine with `n` OS threads
-/// (`n = 1` = the same algorithm, sequentially); `None` (the default) runs
-/// every model unpartitioned, as one domain. Process-wide, read at each
-/// `run_sim` call.
+/// Set how many OS threads run the domains of a partitioned model on the
+/// conservative windowed engine; `None` restores the default, 1. The
+/// domain set is the model's, so results are bit-identical at every
+/// setting. Process-wide, read at each `run_sim` call.
 pub fn set_sim_threads(threads: Option<usize>) {
-    SIM_THREADS.store(threads.map_or(0, |n| n.max(1)), Ordering::Relaxed);
+    SIM_THREADS.store(threads.unwrap_or(1).max(1), Ordering::Relaxed);
 }
 
-/// The current `--sim-threads` setting (`None` = unset: unpartitioned).
+/// The current `--sim-threads` setting (default 1).
 #[must_use]
-pub fn sim_threads() -> Option<usize> {
-    match SIM_THREADS.load(Ordering::Relaxed) {
-        0 => None,
-        n => Some(n),
-    }
+pub fn sim_threads() -> usize {
+    SIM_THREADS.load(Ordering::Relaxed)
 }
 
 /// Derive domain `d`'s RNG purely from the run seed — no draws from a

@@ -6,11 +6,9 @@
 //! round-robin across nodes, and derive which (nodes × processes-per-node)
 //! combinations are testable.
 
-use serde::{Deserialize, Serialize};
-
 /// The process slots an MPI-style launcher provided: `slots[rank]` is the
 /// hostname that rank runs on.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MpiWorld {
     slots: Vec<String>,
 }
@@ -57,7 +55,7 @@ impl MpiWorld {
 }
 
 /// The discovered placement: master slot, nodes, and per-node worker ranks.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Placement {
     /// Rank hosting the master process.
     pub master_rank: usize,
@@ -152,7 +150,7 @@ impl Placement {
 }
 
 /// One benchmark iteration of the master's nested loops (§3.3.3).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunSpec {
     /// Number of nodes used.
     pub nodes: usize,

@@ -109,13 +109,9 @@ pub struct SimConfig {
     pub seed: u64,
     /// Injected disturbances.
     pub disturbances: Vec<Disturbance>,
-    /// Run a partitionable model on the conservative windowed engine even
-    /// when `--sim-threads` is unset (then on one thread). The windowed
-    /// engine is bit-identical at every thread count, but its tie-breaking
-    /// of *same-instant* contention can differ from an unpartitioned run's;
-    /// scenario bodies that measure a partitionable model under contention
-    /// pin the windowed engine so their blessed baselines hold at any
-    /// `--sim-threads` setting. Non-partitionable models are unaffected.
+    /// Does nothing. A partitionable model always runs on the windowed
+    /// engine; the field stays only so that existing callers that set it
+    /// still compile.
     pub pin_windowed_engine: bool,
 }
 
@@ -249,15 +245,13 @@ pub(crate) fn op_label(op: &MetaOp) -> &'static str {
 /// `node_names` supplies display names (hostnames) for the participating
 /// nodes; `workers[i]` uses `streams[i]`.
 ///
-/// When [`crate::set_sim_threads`] is set (or the config sets
-/// [`pin_windowed_engine`](SimConfig::pin_windowed_engine)) *and* the model
-/// offers a [`dfs::PartitionPlan`], the run executes as one domain per
-/// partition on the conservative windowed engine — whose results are
-/// bit-identical at every thread count. Each domain runs the pauses,
-/// background jobs, model timer and disturbances on the servers and nodes
-/// it owns. Every other run (including all models that keep the default
-/// `partition() == None`) executes unpartitioned, as one domain that owns
-/// every resource, disturbance and timer.
+/// When the model offers a [`dfs::PartitionPlan`], the run executes as one
+/// domain per partition on the conservative windowed engine, on
+/// [`crate::sim_threads`] OS threads — whose results are bit-identical at
+/// every thread count. Each domain runs the pauses, background jobs, model
+/// timer and disturbances on the servers and nodes it owns. A model that
+/// keeps the default `partition() == None` executes unpartitioned, as one
+/// domain that owns every resource, disturbance and timer.
 ///
 /// # Panics
 ///
@@ -272,8 +266,9 @@ pub fn run_sim(
     streams: Vec<Box<dyn OpStream>>,
     config: &SimConfig,
 ) -> SimRunResult {
-    let threads = crate::sim_threads().or_else(|| config.pin_windowed_engine.then_some(1));
-    let partition = threads.and_then(|t| Some((model.partition(node_names.len())?, t)));
+    let partition = model
+        .partition(node_names.len())
+        .map(|p| (p, crate::sim_threads()));
     crate::parsim::run(model, partition, node_names, workers, streams, config)
 }
 

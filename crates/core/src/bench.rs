@@ -261,16 +261,15 @@ fn run_sim_hotpath(quick: bool) -> u64 {
 /// `sim_hotpath` across independent schedulers: the same total delivery
 /// budget split over four lanes, each lane a private [`Scheduler`] driven by
 /// [`hotpath_lane`], dispatched with [`par::run_independent`] on
-/// `--sim-threads` OS threads (default 4). The per-lane op counts are pure
+/// `--sim-threads` OS threads. The per-lane op counts are pure
 /// functions of the lane index, so the headline is deterministic at every
 /// thread count; the wall-clock measures how well independent event loops
 /// scale across cores.
 fn run_sim_hotpath_mt(quick: bool) -> u64 {
     const LANES: usize = 4;
     let g = HotpathGeometry::new(quick);
-    let threads = cluster::sim_threads().unwrap_or(LANES);
     let (pop, deliveries) = (g.population / LANES, g.deliveries / LANES as u64);
-    par::run_independent(LANES, threads, |lane| {
+    par::run_independent(LANES, cluster::sim_threads(), |lane| {
         hotpath_lane(pop, deliveries, 0xD1CE ^ (lane as u64) << 8)
     })
     .into_iter()
@@ -446,9 +445,9 @@ impl DistFs for GridFs {
 
 /// One cell of the stress grid: `workers` workers (4 per node) against
 /// `servers` stations, issuing `ops_per_worker` ops of the given mix.
-/// `partitioned` lets the model offer a domain decomposition (so
-/// `--sim-threads` routes eligible cells to the windowed engine); the
-/// op-count result is identical either way. Returns ops completed.
+/// `partitioned` lets the model offer a domain decomposition (so eligible
+/// cells run on the windowed engine); the op-count result is identical
+/// either way. Returns ops completed.
 fn run_grid_cell(
     workers: usize,
     servers: usize,
@@ -530,15 +529,14 @@ fn run_stress_grid(quick: bool) -> u64 {
 
 /// The stress grid with cell-level parallelism: every cell is an
 /// independent simulation (own model, scheduler, RNG), so the sweep runs
-/// cells concurrently on `--sim-threads` OS threads (default 4) via
+/// cells concurrently on `--sim-threads` OS threads via
 /// [`par::run_independent`], largest cells first (LPT order) for the best
 /// makespan. Each cell itself runs unpartitioned, as one domain — results
 /// are the per-cell op counts, summed, identical at every thread count.
 fn run_stress_grid_mt(quick: bool) -> u64 {
-    let threads = cluster::sim_threads().unwrap_or(4);
     let (mut cells, ops_per_worker) = grid_cells(quick);
     cells.sort_by_key(|&(w, s, _)| std::cmp::Reverse((w, s)));
-    par::run_independent(cells.len(), threads, |i| {
+    par::run_independent(cells.len(), cluster::sim_threads(), |i| {
         let (w, s, mix) = cells[i];
         run_grid_cell(w, s, mix, ops_per_worker, false)
     })

@@ -52,7 +52,7 @@ BENCH OPTIONS:
   --quick                    reduced workload geometry (CI smoke)
   --sim-threads <N>          OS threads for the _mt micros and for
                              partitionable simulated runs (windowed engine;
-                             results bit-identical at any N)
+                             results bit-identical at any N)  [default: 1]
   --out <DIR>                directory for BENCH_<id>.json        [default: .]
   --list                     list benchable scenarios and exit
   --compare <OLD> <NEW>      diff two BENCH_*.json files (same scenario) and
@@ -72,7 +72,7 @@ SUITE OPTIONS:
   --sim-threads <N>          OS threads for partitionable simulated runs
                              (conservative windowed engine; results are
                              bit-identical at any N — blessed baselines and
-                             goldens do not change)
+                             goldens do not change)           [default: 1]
   --bless                    rewrite baselines/*.json from this run
   --emit-md <PATH>           regenerate EXPERIMENTS.md at PATH
   --list                     list registered scenarios and exit
@@ -111,9 +111,9 @@ OPTIONS:
   --output <DIR>             write result files here
   --threads <N>              real mode: max worker threads [default: 4]
   --sim-threads <N>          sim mode: OS threads for partitionable models
-                             (conservative windowed engine, bit-identical
-                             results at any N; non-partitionable models run
-                             unpartitioned, as one domain, regardless)
+                             (they always run on the conservative windowed
+                             engine, bit-identical results at any N; other
+                             models run as one domain)        [default: 1]
   --trace-out <DIR>          write a Chrome trace (<label>.trace.json) and a
                              metrics summary (<label>.metrics.json) into DIR
   --metrics                  print the run's metrics summary JSON
@@ -129,6 +129,41 @@ EXAMPLES:
   dmetabench --mode real --workdir /mnt/nfs/testdir --threads 8 \\
              --operations MakeFiles --duration 10 --output ./results
 ";
+
+/// `eprintln!` that ignores a failed write: a message to a closed stderr
+/// is lost, and the exit status stays the command's own.
+macro_rules! errln {
+    ($($arg:tt)*) => {{
+        let _ = writeln!(io::stderr(), $($arg)*);
+    }};
+}
+
+/// Write to stdout. A closed stdout (the reader of a pipe went away) ends
+/// the process quietly with status 0; any other write error ends it with
+/// an `error:` line and status 1.
+fn write_stdout(args: std::fmt::Arguments) {
+    if let Err(e) = io::stdout().lock().write_fmt(args) {
+        if e.kind() == io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        errln!("error: cannot write to stdout: {e}");
+        std::process::exit(1);
+    }
+}
+
+/// `print!` through [`write_stdout`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`write_stdout`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
 
 /// A cursor over one subcommand's arguments. Every flag value is taken
 /// through it, so every parse error names its flag.
@@ -253,13 +288,13 @@ impl Common {
             write_with(&dir.join(format!("{stem}.metrics.json")), |w| {
                 t.write_metrics(w)
             })?;
-            eprintln!("[trace] {}", trace.display());
+            errln!("[trace] {}", trace.display());
         }
         if self.metrics {
             if head {
-                println!("=== {stem} metrics ===");
+                outln!("=== {stem} metrics ===");
             }
-            println!("{}", t.to_metrics_json());
+            outln!("{}", t.to_metrics_json());
         }
         Ok(())
     }
@@ -459,7 +494,7 @@ fn model_factory(
 fn main_cmd(cli: MainCli) -> Result<ExitCode, String> {
     if cli.list_operations {
         for name in all_plugin_names() {
-            println!("{name}");
+            outln!("{name}");
         }
         return Ok(ExitCode::SUCCESS);
     }
@@ -482,9 +517,12 @@ fn main_cmd(cli: MainCli) -> Result<ExitCode, String> {
                 }
                 let world = MpiWorld::uniform(cli.nodes, cli.slots_per_node);
                 let placement = Placement::discover(&world);
-                eprintln!(
+                errln!(
                     "simulated world: {} nodes x {} slots, model '{}', master rank {}",
-                    cli.nodes, cli.slots_per_node, cli.fs, placement.master_rank
+                    cli.nodes,
+                    cli.slots_per_node,
+                    cli.fs,
+                    placement.master_rank
                 );
                 Ok(Runner::new(params).run_simulated(&placement, factory, &SimConfig::default()))
             }
@@ -499,9 +537,10 @@ fn main_cmd(cli: MainCli) -> Result<ExitCode, String> {
                     .map_err(|e| format!("--workdir: {workdir}: {e}"))?
                     .root()
                     .to_path_buf();
-                eprintln!(
+                errln!(
                     "real mode: up to {} worker threads on {}",
-                    cli.threads, workdir
+                    cli.threads,
+                    workdir
                 );
                 let mut params = cli.params.clone();
                 // StdFs jails paths under its root; plugins see "/"
@@ -524,12 +563,12 @@ fn main_cmd(cli: MainCli) -> Result<ExitCode, String> {
     if let Some(t) = &telemetry {
         cli.common.write_telemetry(&cli.params.label, t, false)?;
     }
-    print!("{}", campaign.summary_tsv());
+    out!("{}", campaign.summary_tsv());
     if let Some(dir) = cli.output {
         campaign
             .write_to_dir(&dir)
             .map_err(|e| format!("cannot write results to {}: {e}", dir.display()))?;
-        eprintln!("results written to {}", dir.display());
+        errln!("results written to {}", dir.display());
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -574,7 +613,7 @@ fn suite_cmd(cli: SuiteCli) -> Result<ExitCode, String> {
     }
     if cli.list {
         for s in &scenarios {
-            println!(
+            outln!(
                 "{:24} {:10} {:8} {}",
                 s.id,
                 s.paper_ref,
@@ -586,7 +625,7 @@ fn suite_cmd(cli: SuiteCli) -> Result<ExitCode, String> {
     }
     cli.common.create_trace_dir()?;
 
-    eprintln!(
+    errln!(
         "running {} scenario(s) on {} thread(s)...",
         scenarios.len(),
         cli.jobs
@@ -608,13 +647,13 @@ fn suite_cmd(cli: SuiteCli) -> Result<ExitCode, String> {
         let Ok(output) = &result.outcome else {
             continue;
         };
-        println!("{}", output.render());
+        outln!("{}", output.render());
         if output.artifacts.is_empty() {
             continue;
         }
         let dir = artifact_dir.get_or_insert_with(|| {
             suite::out_dir()
-                .map_err(|e| eprintln!("warning: {e}; artifacts not written"))
+                .map_err(|e| errln!("warning: {e}; artifacts not written"))
                 .ok()
         });
         let Some(dir) = dir else {
@@ -623,7 +662,7 @@ fn suite_cmd(cli: SuiteCli) -> Result<ExitCode, String> {
         for a in &output.artifacts {
             let path = dir.join(&a.name);
             if let Err(e) = std::fs::write(&path, &a.content) {
-                eprintln!("warning: cannot write {}: {e}", path.display());
+                errln!("warning: cannot write {}: {e}", path.display());
             }
         }
     }
@@ -634,12 +673,13 @@ fn suite_cmd(cli: SuiteCli) -> Result<ExitCode, String> {
             failures += 1;
             failed
         });
-        println!(
+        outln!(
             "{:24} {:>7.2}s  {status}",
-            result.scenario.id, result.wall_secs
+            result.scenario.id,
+            result.wall_secs
         );
     }
-    println!(
+    outln!(
         "\n{} scenario(s) in {:.2}s wall ({:.2}s serial, {:.2}x speedup on {} thread(s)); {} failure(s)",
         run.results.len(),
         run.wall_secs,
@@ -651,10 +691,10 @@ fn suite_cmd(cli: SuiteCli) -> Result<ExitCode, String> {
 
     if let Some(path) = &cli.emit_md {
         if cli.filter.is_some() {
-            eprintln!("warning: --emit-md with --filter writes a partial EXPERIMENTS.md");
+            errln!("warning: --emit-md with --filter writes a partial EXPERIMENTS.md");
         }
         write_file(path, suite::emit_markdown(&run))?;
-        eprintln!("wrote {}", path.display());
+        errln!("wrote {}", path.display());
     }
     Ok(ExitCode::from(u8::from(failures > 0)))
 }
@@ -738,7 +778,7 @@ fn analyze_cmd(cli: AnalyzeCli) -> Result<ExitCode, String> {
 fn analyze_one(id: &str, cli: &AnalyzeCli) -> Result<(), String> {
     let scenario =
         suite::find(id).ok_or_else(|| format!("unknown scenario '{id}' (try `suite --list`)"))?;
-    eprintln!("analyzing {id} (causal tracing on)...");
+    errln!("analyzing {id} (causal tracing on)...");
     let result = suite::run_scenario_traced(scenario);
     if let Err(msg) = &result.outcome {
         return Err(format!("{id} panicked: {msg}"));
@@ -761,14 +801,14 @@ fn analyze_one(id: &str, cli: &AnalyzeCli) -> Result<(), String> {
         for (suffix, render) in files {
             let path = dir.join(format!("{id}.{suffix}"));
             write_with(&path, render)?;
-            eprintln!("[analyze] {}", path.display());
+            errln!("[analyze] {}", path.display());
         }
     }
     if cli.md {
-        print!("{}", analysis.to_markdown(id));
+        out!("{}", analysis.to_markdown(id));
     } else {
         let total_ms = analysis.dur_total_ns as f64 / 1e6;
-        println!(
+        outln!(
             "{id}: {} op(s), {total_ms:.3} ms total latency ({})",
             cons.records,
             if cons.consistent {
@@ -783,7 +823,7 @@ fn analyze_one(id: &str, cli: &AnalyzeCli) -> Result<(), String> {
             } else {
                 v as f64 * 100.0 / analysis.dur_total_ns as f64
             };
-            println!("  {seg:8} {:>12.3} ms  {share:>5.1}%", v as f64 / 1e6);
+            outln!("  {seg:8} {:>12.3} ms  {share:>5.1}%", v as f64 / 1e6);
         }
     }
     if !cons.consistent {
@@ -838,10 +878,10 @@ fn parse_bench(args: &[String]) -> Result<BenchCli, String> {
 fn bench_cmd(cli: BenchCli) -> Result<ExitCode, String> {
     if cli.list {
         for id in bench::micro_ids() {
-            println!("{id:24} micro");
+            outln!("{id:24} micro");
         }
         for s in suite::registry() {
-            println!("{:24} suite", s.id);
+            outln!("{:24} suite", s.id);
         }
         return Ok(ExitCode::SUCCESS);
     }
@@ -849,7 +889,7 @@ fn bench_cmd(cli: BenchCli) -> Result<ExitCode, String> {
         let mut deltas = Vec::with_capacity(cli.compare.len());
         for (old, new) in &cli.compare {
             let delta = bench::compare_files(old, new, cli.threshold_pct)?;
-            println!(
+            outln!(
                 "{:24} median {:>9.4}s -> {:>9.4}s  {:+.1}% ({:.2}x)  {}",
                 delta.scenario,
                 delta.old_median_secs,
@@ -862,7 +902,7 @@ fn bench_cmd(cli: BenchCli) -> Result<ExitCode, String> {
         }
         if let Some(path) = &cli.emit_md {
             write_file(path, bench::deltas_to_markdown(&deltas))?;
-            eprintln!("wrote {}", path.display());
+            errln!("wrote {}", path.display());
         }
         let regressions: Vec<&str> = deltas
             .iter()
@@ -880,7 +920,7 @@ fn bench_cmd(cli: BenchCli) -> Result<ExitCode, String> {
     }
     let mut errors = Vec::new();
     for id in &cli.scenarios {
-        eprintln!(
+        errln!(
             "benching {id} ({} rep(s){})...",
             cli.reps,
             if cli.quick { ", quick" } else { "" }
@@ -889,7 +929,7 @@ fn bench_cmd(cli: BenchCli) -> Result<ExitCode, String> {
             .and_then(|report| Ok((bench::write_report(&report, &cli.out)?, report)));
         match run {
             Err(msg) => errors.push(msg),
-            Ok((path, report)) => println!(
+            Ok((path, report)) => outln!(
                 "{:24} median {:>9.4}s  (min {:.4}s, max {:.4}s, {} ops)  -> {}",
                 report.scenario,
                 report.stats.median_secs,
@@ -905,15 +945,17 @@ fn bench_cmd(cli: BenchCli) -> Result<ExitCode, String> {
 
 fn crash_drill(spec: &CrashSpec, steps: u64, metrics: bool) -> ExitCode {
     let (report, telemetry) = capture_if(metrics, || crashdrill::run_drill(spec, steps));
-    println!(
+    outln!(
         "crash drill: {} step(s) before power cut, {} journal record(s) logged",
-        report.steps_before_crash, report.records_logged
+        report.steps_before_crash,
+        report.records_logged
     );
-    println!(
+    outln!(
         "  recovery:  {} committed record(s) replayed, {} in-flight discarded",
-        report.replayed, report.discarded
+        report.replayed,
+        report.discarded
     );
-    println!(
+    outln!(
         "  durability: {} ({} path(s) in the recovered tree)",
         if report.prefix_durable {
             "committed prefix restored exactly"
@@ -923,26 +965,26 @@ fn crash_drill(spec: &CrashSpec, steps: u64, metrics: bool) -> ExitCode {
         report.recovered_paths
     );
     if report.fsck_problems.is_empty() {
-        println!("  fsck:      clean");
+        outln!("  fsck:      clean");
     } else {
-        println!("  fsck:      {} problem(s)", report.fsck_problems.len());
+        outln!("  fsck:      {} problem(s)", report.fsck_problems.len());
         for p in &report.fsck_problems {
-            println!("             - {p}");
+            outln!("             - {p}");
         }
     }
     if report.scrub_errors.is_empty() {
-        println!("  scrub:     full sweep clean");
+        outln!("  scrub:     full sweep clean");
     } else {
-        println!("  scrub:     {} error(s)", report.scrub_errors.len());
+        outln!("  scrub:     {} error(s)", report.scrub_errors.len());
         for e in &report.scrub_errors {
-            println!("             - {e}");
+            outln!("             - {e}");
         }
     }
     if let Some(telemetry) = &telemetry {
-        println!("{}", telemetry.to_metrics_json());
+        outln!("{}", telemetry.to_metrics_json());
     }
     let passed = report.passed();
-    println!("drill {}", if passed { "PASSED" } else { "FAILED" });
+    outln!("drill {}", if passed { "PASSED" } else { "FAILED" });
     ExitCode::from(u8::from(!passed))
 }
 
@@ -950,12 +992,10 @@ fn run(argv: &[String]) -> Result<ExitCode, String> {
     let cmd = Command::parse(argv)?;
     let common = cmd.common();
     if common.help {
-        println!("{USAGE}");
+        outln!("{USAGE}");
         return Ok(ExitCode::SUCCESS);
     }
-    if let Some(n) = common.sim_threads {
-        cluster::set_sim_threads(Some(n));
-    }
+    cluster::set_sim_threads(common.sim_threads);
     let prof_on = simcore::prof::init_from_env();
     let status = match cmd {
         Command::Main(cli) => main_cmd(*cli),
@@ -964,7 +1004,7 @@ fn run(argv: &[String]) -> Result<ExitCode, String> {
         Command::Analyze(cli) => analyze_cmd(cli),
     };
     if prof_on {
-        eprint!("{}", simcore::prof::report());
+        let _ = io::stderr().write_all(simcore::prof::report().as_bytes());
     }
     status
 }
@@ -973,7 +1013,7 @@ fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     run(&argv).unwrap_or_else(|msg| {
         for line in msg.lines() {
-            eprintln!("error: {line}");
+            errln!("error: {line}");
         }
         ExitCode::FAILURE
     })
@@ -1315,6 +1355,6 @@ mod tests {
     fn parsing_changes_no_global_state() {
         Command::parse(&argv("--sim-threads 3")).unwrap();
         Command::parse(&argv("suite --sim-threads 3")).unwrap();
-        assert_eq!(cluster::sim_threads(), None);
+        assert_eq!(cluster::sim_threads(), 1);
     }
 }

@@ -10,9 +10,9 @@
 //! referral forwards bounded by one per node per moved subtree. The
 //! authority function itself is sampled across the event boundaries
 //! (the unbounded property-test version lives in
-//! `tests/shardmds_placement.rs`). At `--sim-threads` the run is
-//! partitioned, and the audited counters are the domain replicas' sums,
-//! read from the model after the run.
+//! `tests/shardmds_placement.rs`). The run is partitioned, and the audited
+//! counters are the domain replicas' sums, read from the model after the
+//! run.
 
 use crate::suite::{make_workers, node_names, ExpTable, ReportBuilder};
 use cluster::{run_sim, OpStream, SimConfig};

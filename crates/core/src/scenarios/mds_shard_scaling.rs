@@ -10,13 +10,8 @@
 //! distinct client directory count (64 writers).
 //!
 //! The hash-mode model is partition-conforming, so this sweep runs on the
-//! conservative windowed engine — *pinned* via
-//! [`SimConfig::pin_windowed_engine`], because at 64 saturated writers the
-//! same-instant tie-breaking of a partitioned run differs from an
-//! unpartitioned one, and only the partitioned run is bit-identical at
-//! every `--sim-threads` value. The report uses only
-//! [`cluster::SimRunResult`]-derived data, so the blessed baseline holds
-//! at any thread count (pinned by `tests/parsim_determinism.rs`).
+//! conservative windowed engine, bit-identical at every `--sim-threads`
+//! value.
 
 use crate::suite::{fmt_ops, fmt_x, run_makefiles, ExpTable, ReportBuilder};
 use cluster::SimConfig;
@@ -31,7 +26,6 @@ pub fn run(b: &mut ReportBuilder) {
     let mut cfg = SimConfig::default();
     cfg.duration = Some(SimDuration::from_secs(10));
     cfg.node_cores = 1;
-    cfg.pin_windowed_engine = true;
 
     let mut t = ExpTable::new(
         "MakeFiles 16 nodes x 4 ppn, hash placement over N MDS shards",

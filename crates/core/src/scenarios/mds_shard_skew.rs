@@ -10,13 +10,9 @@
 //! one shard's capacity, post-split throughput is a multiple of it, and
 //! each node pays the forwarding cost at most once per moved subtree.
 //!
-//! Like `mds_shard_scaling`, the sweep is pinned to the windowed engine
-//! ([`SimConfig::pin_windowed_engine`]): after the split, same-instant
-//! arrivals at a shard are served in domain order there and in global
-//! event order on the unpartitioned engine, and only the windowed answer
-//! is the same at every `--sim-threads` value. The migration counts come
-//! from the model after [`dfs::DistFs::rejoin`] folds the domain replicas
-//! back.
+//! The sweep runs on the windowed engine, one domain per shard group; the
+//! migration counts come from the model after [`dfs::DistFs::rejoin`]
+//! folds the domain replicas back.
 
 use crate::suite::{fmt_ops, fmt_x, make_workers, node_names, ExpTable, ReportBuilder};
 use crate::{preprocess, ResultSet};
@@ -54,7 +50,6 @@ fn run_skewed(reshard: Vec<ReshardEvent>) -> (cluster::SimRunResult, u64) {
     let mut cfg = SimConfig::default();
     cfg.duration = Some(SimDuration::from_secs(16));
     cfg.node_cores = 1;
-    cfg.pin_windowed_engine = true;
     let workers = make_workers(NODES, PPN);
     let streams = hot_streams(workers.len());
     let res = run_sim(&mut model, &node_names(NODES), workers, streams, &cfg);

@@ -6,10 +6,8 @@
 //! mirrors the operations of paper Tables 2.2–2.4 that the pre-defined
 //! benchmarks exercise (Table 3.5).
 
-use serde::{Deserialize, Serialize};
-
 /// One metadata operation against a file system.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MetaOp {
     /// Create an (optionally non-empty) file: `open(O_CREAT) [+ write] +
     /// close`. `data_bytes` > 0 models MakeFiles64byte / MakeFiles65byte.

@@ -357,12 +357,12 @@ pub trait DistFs: Any + Send {
     /// `nodes` is the client-node count of the run. Models whose state
     /// genuinely splits (independent server groups, per-node client state,
     /// no semaphores, pauses and background jobs only on a domain's own
-    /// servers) return a [`PartitionPlan`]; the default
-    /// `None` runs the model unpartitioned, as one domain, at any
-    /// `--sim-threads` value, which is always correct. The five paper
-    /// models share a central MDS/filer (every client talks to every
-    /// server through shared caches and semaphores), so they inherit the
-    /// default.
+    /// servers) return a [`PartitionPlan`], and then always run on the
+    /// windowed engine, at every `--sim-threads` value; the default `None`
+    /// runs the model unpartitioned, as one domain, which is always
+    /// correct. The five paper models share a central MDS/filer (every
+    /// client talks to every server through shared caches and semaphores),
+    /// so they inherit the default.
     fn partition(&self, _nodes: usize) -> Option<PartitionPlan> {
         None
     }

@@ -20,14 +20,14 @@
 //!   detected after one timeout and its traffic rerouted to the next alive
 //!   shard on the ring, accounted as a failover per affected operation,
 //! * **partitioned execution**: [`DistFs::partition`] offers one domain per
-//!   shard group, so `--sim-threads` runs the model on the conservative
-//!   windowed engine. Each domain plans on a copy of the model as it stands,
-//!   and [`DistFs::rejoin`] folds the copies back: node `n`'s location cache
+//!   shard group, so the model runs on the conservative windowed engine at
+//!   every `--sim-threads` value (unless a crash list makes it decline).
+//!   Each domain plans on a copy of the model as it stands, and
+//!   [`DistFs::rejoin`] folds the copies back: node `n`'s location cache
 //!   from the domain that owns `n`, the counters summed, the subtree table
-//!   from the domain that applied the most of the schedule. The run result
-//!   is the unpartitioned one as long as no two requests reach a FIFO
-//!   station at the same instant: at such a tie the unpartitioned engine
-//!   serves in global event order and the windowed engine in domain order
+//!   from the domain that applied the most of the schedule. The result
+//!   equals an unpartitioned run's unless two requests reach a FIFO station
+//!   at the same instant, where the two engines break the tie differently
 //!   (see DESIGN §5g).
 //!
 //! Costs are deliberately *flat* (a pure function of the op kind and path

@@ -7,13 +7,12 @@
 //! them for real and the simulator charges time proportional to the scan
 //! work they report.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 use crate::error::{FsError, FsResult};
 
 /// Which allocator a file system uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum AllocatorKind {
     /// Free-block bitmap (FFS \[MJLF84\]).
     Bitmap,
@@ -23,7 +22,7 @@ pub enum AllocatorKind {
 }
 
 /// A contiguous run of blocks `[start, start + len)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Extent {
     /// First block of the run.
     pub start: u64,

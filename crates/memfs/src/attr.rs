@@ -1,9 +1,7 @@
 //! File attributes: the POSIX `stat` structure of paper Table 2.1.
 
-use serde::{Deserialize, Serialize};
-
 /// Inode number — the system-wide unique file identifier (paper §2.1.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Ino(pub u64);
 
 impl std::fmt::Display for Ino {
@@ -13,7 +11,7 @@ impl std::fmt::Display for Ino {
 }
 
 /// The type of a file-system object.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FileType {
     /// A regular file: an ordered sequence of bytes.
     Regular,
@@ -46,7 +44,7 @@ pub const DEFAULT_DIR_MODE: Mode = 0o755;
 ///
 /// Timestamps are in virtual or real nanoseconds depending on the backing
 /// file system; the benchmark layer only compares them for ordering.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FileAttr {
     /// Inode number (`st_ino`).
     pub ino: Ino,
@@ -127,7 +125,7 @@ impl FileAttr {
 
 /// An entry returned by `readdir`: name, inode number and type (paper
 /// §2.3.1).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DirEntry {
     /// Entry name (unique within its directory).
     pub name: String,

@@ -6,10 +6,8 @@
 //! [`CostMeter`]; the caller drains it with
 //! [`MemFs::take_cost`](crate::MemFs::take_cost) after each operation.
 
-use serde::{Deserialize, Serialize};
-
 /// Work performed by one (or several) file-system operations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct OpCost {
     /// Directory-index probes (entry comparisons / node visits).
     pub dir_probes: u64,
@@ -96,7 +94,7 @@ impl CostMeter {
 }
 
 /// Counters of completed operations, by kind.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct OpCounters {
     /// Files created.
     pub creates: u64,

@@ -48,7 +48,6 @@
 //! leaves recovery bit-identical to [`crate::MemFs::crash_and_recover`].
 
 use crate::journal::{JournalRecord, TxId};
-use serde::{Deserialize, Serialize};
 use simcore::DetRng;
 
 /// Seed of the damage stream when the spec does not pin one.
@@ -59,7 +58,7 @@ const DEFAULT_SEED: u64 = 0xC4A5;
 // ---------------------------------------------------------------------------
 
 /// One clause of a [`CrashSpec`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CrashClause {
     /// Power fails once the journal has logged `n` records in total.
     AfterRecords(u64),
@@ -73,7 +72,7 @@ pub enum CrashClause {
 
 /// A declarative, seedable crash schedule. Cheap to clone; compile it into a
 /// [`CrashPlan`] per file-system instance with [`CrashSpec::build`].
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct CrashSpec {
     /// The scheduled clauses.
     pub clauses: Vec<CrashClause>,
@@ -329,7 +328,7 @@ impl DiskJournal {
 }
 
 /// What the recovery scanner found on the simulated platter.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryStats {
     /// Total frames on disk at power loss.
     pub frames_scanned: usize,

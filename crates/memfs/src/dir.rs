@@ -14,12 +14,11 @@
 //! data structure did.
 
 use crate::attr::{FileType, Ino};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Which directory index a file system uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum DirIndexKind {
     /// Linear entry list (original UFS, paper Fig. 2.4).
     Linear,
@@ -36,7 +35,7 @@ pub enum DirIndexKind {
 /// The name is interned behind `Arc<str>`, so cloning an entry — for a
 /// lookup result, a journal record, or a snapshot — bumps a refcount
 /// instead of copying the string.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RawEntry {
     /// Entry name.
     pub name: Arc<str>,

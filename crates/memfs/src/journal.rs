@@ -9,12 +9,11 @@
 //!   [`MemFs::check`](crate::MemFs::check), since it needs the whole tree.
 
 use crate::attr::{FileType, Ino, Mode};
-use serde::{Deserialize, Serialize};
 use simcore::telemetry;
 use std::sync::Arc;
 
 /// When journal records become persistent (paper §2.7.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum JournalMode {
     /// No journal: after a crash only a full check can repair the tree.
     None,
@@ -28,7 +27,7 @@ pub enum JournalMode {
 }
 
 /// A logged metadata mutation, carrying everything replay needs.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JournalRecord {
     /// A regular file or symlink was created.
     Create {
@@ -123,7 +122,7 @@ pub enum JournalRecord {
 }
 
 /// Transaction id within the journal.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TxId(pub u64);
 
 /// A write-ahead metadata journal.

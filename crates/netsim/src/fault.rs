@@ -40,14 +40,13 @@
 //! whose windows never cover the run leaves every simulation bit-identical
 //! to a fault-free run.
 
-use serde::{Deserialize, Serialize};
 use simcore::{DetRng, SimDuration, SimTime};
 
 /// Seed of the loss stream when the spec does not pin one.
 const DEFAULT_SEED: u64 = 0xFA01;
 
 /// One clause of a [`FaultSpec`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum FaultClause {
     /// The client↔server link drops every message in `[start, end)`.
     LinkDown {
@@ -87,7 +86,7 @@ pub enum FaultClause {
 
 /// A declarative, seedable fault schedule. Cheap to clone; compile it into
 /// a [`FaultPlan`] per model instance with [`FaultSpec::build`].
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultSpec {
     /// The scheduled fault clauses.
     pub clauses: Vec<FaultClause>,
@@ -293,7 +292,7 @@ pub struct Degradation {
 }
 
 /// One scheduled server outage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct CrashEvent {
     /// Model-specific server index.
     pub server: usize,

@@ -30,11 +30,10 @@
 pub mod fault;
 
 use fault::FaultPlan;
-use serde::{Deserialize, Serialize};
 use simcore::{DetRng, SimDuration, SimTime};
 
 /// One directed link's characteristics.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkSpec {
     /// One-way propagation latency.
     pub latency: SimDuration,
@@ -154,7 +153,7 @@ impl LinkSpec {
 ///
 /// The defaults follow typical NFSv3 message sizes: small requests, small
 /// replies for pure metadata operations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RpcProfile {
     /// Request payload bytes.
     pub request_bytes: u64,

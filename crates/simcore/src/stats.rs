@@ -1,11 +1,9 @@
 //! Streaming latency statistics.
 
-use serde::{Deserialize, Serialize};
-
 /// A log-bucketed latency histogram: cheap to update per operation, good
 /// enough for percentile reporting (each bucket covers one power of two of
 /// nanoseconds, so percentiles are exact to within 2×).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LatencyHistogram {
     buckets: Vec<u64>,
     count: u64,

@@ -12,8 +12,15 @@
 //! consistency-point timer per replica, and the matrix reruns it under a
 //! CPU hog and a competing server load: every domain-local feature runs on
 //! the domain that owns its server or node.
+//!
+//! The sharded MDS runs both ways: unpartitioned through the test-only
+//! [`common::Unsplit`] wrapper, and on the windowed engine at every thread
+//! count.
+
+mod common;
 
 use cluster::{run_sim, set_sim_threads, Disturbance, SimConfig, WorkerSpec};
+use common::{run_on, Engine};
 use dfs::{
     BackgroundJob, ClientCtx, DistFs, FsResources, MetaOp, OpPlan, PartitionPlan, ReshardAction,
     ReshardEvent, ServerId, ServerSpec, ShardMds, ShardMdsConfig, ShardPlacement, Stage,
@@ -166,25 +173,23 @@ fn disturbances() -> Vec<Disturbance> {
     ]
 }
 
-fn run_traced(threads: usize, disturbed: bool) -> (String, String, String) {
+/// One traced run of [`RoundRobinFs`] at `--sim-threads threads` (`None` =
+/// the default). Returns the run result, the Chrome trace and the
+/// timeseries.
+fn run_traced(threads: Option<usize>, disturbed: bool) -> (String, String, String) {
+    run_traced_cfg(threads, false, disturbed)
+}
+
+/// [`run_traced`] with `SimConfig::pin_windowed_engine` set to `pin`.
+fn run_traced_cfg(threads: Option<usize>, pin: bool, disturbed: bool) -> (String, String, String) {
     let disturbances = if disturbed {
         disturbances()
     } else {
         Vec::new()
     };
-    run_traced_cfg(Some(threads), false, RoundRobinFs::new(), disturbances)
-}
-
-/// `threads = None` leaves the global knob unset, so the engine choice is
-/// down to `SimConfig::pin_windowed_engine` alone.
-fn run_traced_cfg(
-    threads: Option<usize>,
-    pin_windowed_engine: bool,
-    mut model: RoundRobinFs,
-    disturbances: Vec<Disturbance>,
-) -> (String, String, String) {
     set_sim_threads(threads);
     let (result, report) = telemetry::capture(|| {
+        let mut model = RoundRobinFs::new();
         let node_names: Vec<String> = (0..NODES).map(|i| format!("pn{i}")).collect();
         let specs: Vec<WorkerSpec> = (0..NODES * PROCS_PER_NODE)
             .map(|w| WorkerSpec::new(w / PROCS_PER_NODE, w % PROCS_PER_NODE))
@@ -208,8 +213,8 @@ fn run_traced_cfg(
             })
             .collect();
         let mut cfg = SimConfig::default();
-        cfg.pin_windowed_engine = pin_windowed_engine;
         cfg.disturbances = disturbances;
+        cfg.pin_windowed_engine = pin;
         run_sim(&mut model, &node_names, specs, streams, &cfg)
     });
     set_sim_threads(None);
@@ -222,16 +227,18 @@ fn run_traced_cfg(
 
 /// The whole matrix in one test body: the global `--sim-threads` knob is
 /// process-wide, so the runs are sequenced explicitly rather than spread
-/// over tests that could race on it.
+/// over tests that could race on it. The baseline runs with the knob at
+/// its default: a partitionable model runs on the windowed engine by
+/// default too, and equals `--sim-threads 1` byte for byte.
 #[test]
 fn partitioned_runs_bit_identical_across_thread_counts() {
     let _serial = KNOB.lock().unwrap_or_else(|e| e.into_inner());
     let mut baselines = Vec::new();
     for disturbed in [false, true] {
-        let baseline = run_traced(1, disturbed);
+        let baseline = run_traced(None, disturbed);
 
-        // evidence the windowed engine actually ran: one trace process per
-        // domain (an unpartitioned run would emit exactly one)
+        // evidence the windowed engine actually ran by default: one trace
+        // process per domain (an unpartitioned run would emit exactly one)
         assert_eq!(
             baseline.1.matches("process_name").count(),
             SERVERS,
@@ -256,22 +263,22 @@ fn partitioned_runs_bit_identical_across_thread_counts() {
         );
         assert_eq!(baseline.1.contains("\"server-load\""), disturbed);
 
-        for threads in [2, 4, 8] {
-            let run = run_traced(threads, disturbed);
+        for threads in [1, 2, 4, 8] {
+            let run = run_traced(Some(threads), disturbed);
             assert_eq!(
                 baseline.0, run.0,
-                "SimRunResult differs between --sim-threads 1 and {threads} \
-                 (disturbed: {disturbed})"
+                "SimRunResult differs between the default and --sim-threads \
+                 {threads} (disturbed: {disturbed})"
             );
             assert_eq!(
                 baseline.1, run.1,
-                "Chrome trace differs between --sim-threads 1 and {threads} \
-                 (disturbed: {disturbed})"
+                "Chrome trace differs between the default and --sim-threads \
+                 {threads} (disturbed: {disturbed})"
             );
             assert_eq!(
                 baseline.2, run.2,
-                "timeseries differs between --sim-threads 1 and {threads} \
-                 (disturbed: {disturbed})"
+                "timeseries differs between the default and --sim-threads \
+                 {threads} (disturbed: {disturbed})"
             );
         }
         baselines.push(baseline);
@@ -282,38 +289,35 @@ fn partitioned_runs_bit_identical_across_thread_counts() {
     );
 }
 
-/// `SimConfig::pin_windowed_engine` routes a partitionable model to the
-/// windowed engine even with the global `--sim-threads` knob unset, and is
-/// byte-identical to an explicit `--sim-threads 1` run — so a scenario
-/// that sets it gets the same blessed numbers at every knob setting.
+/// `SimConfig::pin_windowed_engine` is kept only so that callers which set
+/// it still compile: setting it changes nothing, with the knob unset or
+/// set, and the run is byte-identical to `--sim-threads 1`.
 #[test]
 fn pin_windowed_engine_matches_sim_threads_1() {
     let _serial = KNOB.lock().unwrap_or_else(|e| e.into_inner());
-    let explicit = run_traced_cfg(Some(1), false, RoundRobinFs::new(), Vec::new());
-    let pinned = run_traced_cfg(None, true, RoundRobinFs::new(), Vec::new());
+    let explicit = run_traced_cfg(Some(1), false, false);
+    let pinned = run_traced_cfg(None, true, false);
     assert_eq!(
         pinned.1.matches("process_name").count(),
         SERVERS,
-        "the pin alone must select the windowed engine"
+        "a pinned run must still run on the windowed engine"
     );
     assert_eq!(explicit.0, pinned.0);
     assert_eq!(explicit.1, pinned.1);
     assert_eq!(explicit.2, pinned.2);
-    // the pin composes with an explicit thread count rather than fighting it
-    let both = run_traced_cfg(Some(4), true, RoundRobinFs::new(), Vec::new());
+    let both = run_traced_cfg(Some(4), true, false);
     assert_eq!(explicit.0, both.0);
     assert_eq!(explicit.1, both.1);
+    assert_eq!(explicit.2, both.2);
 }
 
-/// The sharded MDS service under a live migration schedule, run through the
-/// public `run_sim` entry: `None` = unpartitioned, as one domain,
-/// `Some(t)` = one domain per shard group on the windowed engine with `t`
-/// threads. Returns the result, the Chrome trace, the migration count and
-/// the metrics summary.
-fn run_shardmds(threads: Option<usize>) -> (String, String, u64, String) {
-    set_sim_threads(threads);
+/// The sharded MDS service under a live migration schedule on `engine`:
+/// unpartitioned, as one domain, or one domain per shard group on the
+/// windowed engine. Returns the result, the Chrome trace, the migration
+/// count and the metrics summary.
+fn run_shardmds(engine: Engine) -> (String, String, u64, String) {
     let (result, report) = telemetry::capture(|| {
-        let mut model = ShardMds::new(ShardMdsConfig {
+        let model = ShardMds::new(ShardMdsConfig {
             shards: 4,
             placement: ShardPlacement::Subtree,
             table: vec![("/".to_owned(), 0), ("/hot".to_owned(), 1)],
@@ -368,15 +372,9 @@ fn run_shardmds(threads: Option<usize>) -> (String, String, u64, String) {
                 }) as Box<dyn cluster::OpStream>
             })
             .collect();
-        run_sim(
-            &mut model,
-            &node_names,
-            specs,
-            streams,
-            &SimConfig::default(),
-        )
+        let cfg = SimConfig::default();
+        run_on(engine, model, &node_names, specs, streams, &cfg).0
     });
-    set_sim_threads(None);
     let migrations = report.counter("shardmds.migrations");
     (
         format!("{result:?}"),
@@ -393,13 +391,14 @@ fn run_shardmds(threads: Option<usize>) -> (String, String, u64, String) {
 #[test]
 fn shardmds_bit_identical_across_engines_and_thread_counts() {
     let _serial = KNOB.lock().unwrap_or_else(|e| e.into_inner());
-    let unpartitioned = run_shardmds(None);
-    let windowed = run_shardmds(Some(1));
+    let unpartitioned = run_shardmds(Engine::Unsplit);
+    let windowed = run_shardmds(Engine::Windowed(1));
     assert_eq!(
         unpartitioned.0, windowed.0,
         "unpartitioned and partitioned runs disagree on the shardmds run"
     );
-    // the windowed engine really ran: one telemetry process per domain
+    // each engine really ran: one telemetry process per domain
+    assert_eq!(unpartitioned.1.matches("process_name").count(), 1);
     assert_eq!(windowed.1.matches("process_name").count(), 4);
     // and the schedule really migrated under live traffic, including
     // cross-domain referral hops, on both paths
@@ -413,7 +412,7 @@ fn shardmds_bit_identical_across_engines_and_thread_counts() {
         "the windowed run records its window statistics"
     );
     for threads in [2, 4, 8] {
-        let run = run_shardmds(Some(threads));
+        let run = run_shardmds(Engine::Windowed(threads));
         assert_eq!(
             windowed.0, run.0,
             "shardmds result differs between --sim-threads 1 and {threads}"
@@ -435,11 +434,11 @@ fn shardmds_bit_identical_across_engines_and_thread_counts() {
 /// location cache, and the measured run stats them, with every fifth op a
 /// create in one of three directories of its own that no node has seen.
 /// Directories are per node, so same-instant arrivals never queue at a
-/// shard, where the two engines may break the tie differently. Returns the run result and the
-/// model's `lookups()` and `placement_rpcs()` after the run.
-fn run_prepared_shardmds(threads: Option<usize>) -> (String, u64, u64) {
+/// shard, where the two engines may break the tie differently. Returns the
+/// run result and the model's `lookups()` and `placement_rpcs()` after the
+/// run.
+fn run_prepared_shardmds(engine: Engine) -> (String, u64, u64) {
     const FILES: u64 = 50;
-    set_sim_threads(threads);
     let mut model = ShardMds::new(ShardMdsConfig {
         shards: 4,
         ..ShardMdsConfig::default()
@@ -484,14 +483,8 @@ fn run_prepared_shardmds(threads: Option<usize>) -> (String, u64, u64) {
             }) as Box<dyn cluster::OpStream>
         })
         .collect();
-    let result = run_sim(
-        &mut model,
-        &node_names,
-        specs,
-        streams,
-        &SimConfig::default(),
-    );
-    set_sim_threads(None);
+    let cfg = SimConfig::default();
+    let (result, model) = run_on(engine, model, &node_names, specs, streams, &cfg);
     (
         format!("{result:?}"),
         model.lookups(),
@@ -505,12 +498,12 @@ fn run_prepared_shardmds(threads: Option<usize>) -> (String, u64, u64) {
 #[test]
 fn prepared_shardmds_matches_unpartitioned_run() {
     let _serial = KNOB.lock().unwrap_or_else(|e| e.into_inner());
-    let unpartitioned = run_prepared_shardmds(None);
+    let unpartitioned = run_prepared_shardmds(Engine::Unsplit);
     let prepare_ops = NODES as u64 * 50;
     let measured_ops = NODES as u64 * 200;
     assert_eq!(unpartitioned.1, prepare_ops + measured_ops);
     for threads in [1, 2, 4] {
-        let run = run_prepared_shardmds(Some(threads));
+        let run = run_prepared_shardmds(Engine::Windowed(threads));
         assert_eq!(
             unpartitioned.0, run.0,
             "run result differs at --sim-threads {threads}"

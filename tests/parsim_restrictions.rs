@@ -2,14 +2,18 @@
 //! the broken rule when it does: declare a semaphore (no domain can own
 //! one), and pause a server its domain does not own. Each test also runs
 //! the same model unpartitioned, as one domain, where both are allowed and
-//! every operation completes.
+//! every operation completes (through the test-only [`common::Unsplit`]
+//! wrapper, since a partitionable model otherwise always runs partitioned).
 //!
 //! Everything a domain owns runs; that side of the contract is checked by
 //! the `--sim-threads` matrix in `tests/parsim_determinism.rs`.
 
+mod common;
+
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use cluster::{run_sim, set_sim_threads, OpStream, SimConfig, SimRunResult, WorkerSpec};
+use cluster::{set_sim_threads, OpStream, SimConfig, SimRunResult, WorkerSpec};
+use common::{run_on, Engine};
 use dfs::{
     ClientCtx, DistFs, FsResources, MetaOp, OpPlan, PartitionPlan, SemSpec, ServerId, ServerSpec,
 };
@@ -112,14 +116,12 @@ impl DistFs for Breaching {
 /// it so the harness's default test parallelism cannot race the knob.
 static KNOB: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
-/// Runs the model with `threads` windowed-engine threads (`None` =
-/// unpartitioned, as one domain). A panic in the run comes back as its
+/// Runs the model on `engine`. A panic in the run comes back as its
 /// message.
-fn try_run(breach: Breach, threads: Option<usize>) -> Result<SimRunResult, String> {
+fn try_run(breach: Breach, engine: Engine) -> Result<SimRunResult, String> {
     let _serial = KNOB.lock().unwrap_or_else(|e| e.into_inner());
-    set_sim_threads(threads);
     let out = catch_unwind(AssertUnwindSafe(|| {
-        let mut model = Breaching { breach };
+        let model = Breaching { breach };
         let node_names: Vec<String> = (0..NODES).map(|i| format!("n{i}")).collect();
         let workers: Vec<WorkerSpec> = (0..NODES).map(|n| WorkerSpec::new(n, 0)).collect();
         let streams: Vec<Box<dyn OpStream>> = (0..NODES)
@@ -131,14 +133,10 @@ fn try_run(breach: Breach, threads: Option<usize>) -> Result<SimRunResult, Strin
                 }) as Box<dyn OpStream>
             })
             .collect();
-        run_sim(
-            &mut model,
-            &node_names,
-            workers,
-            streams,
-            &SimConfig::default(),
-        )
+        let cfg = SimConfig::default();
+        run_on(engine, model, &node_names, workers, streams, &cfg).0
     }));
+    // a panicking windowed run leaves the knob set
     set_sim_threads(None);
     out.map_err(|payload| {
         payload
@@ -149,8 +147,8 @@ fn try_run(breach: Breach, threads: Option<usize>) -> Result<SimRunResult, Strin
     })
 }
 
-fn expect_complete(breach: Breach, threads: Option<usize>) {
-    let result = try_run(breach, threads).expect("the run completes");
+fn expect_complete(breach: Breach, engine: Engine) {
+    let result = try_run(breach, engine).expect("the run completes");
     assert_eq!(result.total_ops(), NODES as u64 * OPS_PER_WORKER);
     assert!(result
         .workers
@@ -162,7 +160,7 @@ fn expect_complete(breach: Breach, threads: Option<usize>) {
 /// is refused with a panic naming the model and the rule.
 #[test]
 fn declared_semaphores_are_refused() {
-    let msg = try_run(Breach::Semaphore, Some(2))
+    let msg = try_run(Breach::Semaphore, Engine::Windowed(2))
         .expect_err("a partitioned model declaring a semaphore must be refused");
     assert!(
         msg.contains(
@@ -171,14 +169,14 @@ fn declared_semaphores_are_refused() {
         ),
         "panic must name the model and the rule: {msg}"
     );
-    expect_complete(Breach::Semaphore, None);
+    expect_complete(Breach::Semaphore, Engine::Unsplit);
 }
 
 /// A pause on a server of another domain is refused with a panic naming the
 /// domain, the server and the rule; a pause on the domain's own server runs.
 #[test]
 fn pauses_are_refused() {
-    let msg = try_run(Breach::ForeignPause, Some(2))
+    let msg = try_run(Breach::ForeignPause, Engine::Windowed(2))
         .expect_err("a pause on a server the domain does not own must be refused");
     assert!(
         msg.contains(
@@ -187,6 +185,6 @@ fn pauses_are_refused() {
         "panic must name the rule: {msg}"
     );
     assert!(msg.contains("domain "), "panic must name the domain: {msg}");
-    expect_complete(Breach::ForeignPause, None);
-    expect_complete(Breach::OwnPause, Some(2));
+    expect_complete(Breach::ForeignPause, Engine::Unsplit);
+    expect_complete(Breach::OwnPause, Engine::Windowed(2));
 }

@@ -9,6 +9,8 @@
 //! write-back study's background-commit cadence is the paper's §4.8
 //! sawtooth, and its event count must not drift silently.
 
+mod common;
+
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -87,13 +89,13 @@ proptest! {
 }
 
 /// `--sim-threads` must never change a trace or metrics summary either:
-/// the paper models decline to partition, so traced suite runs at any
-/// thread count reproduce the solo capture byte for byte (same matrix as
+/// the paper models decline to partition, so traced suite runs at 2 and 4
+/// threads reproduce the default solo capture byte for byte (same matrix as
 /// `suite_determinism::fast_reports_identical_across_sim_threads`).
 #[test]
 fn fast_traces_identical_across_sim_threads() {
     let scenarios = fast_scenarios();
-    for threads in [1usize, 2, 4] {
+    for threads in [2usize, 4] {
         cluster::set_sim_threads(Some(threads));
         for order in [[0usize, 1, 2], [2, 1, 0]] {
             let run = suite::run_suite_ordered_traced(&scenarios, 4, &order);
@@ -118,14 +120,14 @@ fn fast_traces_identical_across_sim_threads() {
 
 /// The §4.8 golden counters hold at every `--sim-threads` value — the
 /// write-back sweep's consistency-point cadence must not depend on the
-/// engine dispatcher. Slow (three traced sweeps); CI runs it in release
-/// via `-- --include-ignored`.
+/// engine dispatcher; the default (1 thread) is the solo run. Slow (two
+/// traced sweeps); CI runs it in release via `-- --include-ignored`.
 #[test]
 #[ignore = "traced write-back sweep per thread count; run in release (CI --include-ignored)"]
 fn writeback_goldens_hold_across_sim_threads() {
     let s = suite::find("exp_4_8_writeback").expect("registered");
     let solo = render(writeback_telemetry());
-    for threads in [1usize, 2, 4] {
+    for threads in [2usize, 4] {
         cluster::set_sim_threads(Some(threads));
         let result = suite::run_scenario_traced(s);
         result.outcome.as_ref().expect("scenario does not panic");
@@ -149,7 +151,8 @@ fn writeback_goldens_hold_across_sim_threads() {
 /// `migrations()` and `failovers()` equal their telemetry counters.
 #[test]
 fn shardmds_counters_identical_across_engines_and_thread_counts() {
-    use cluster::{run_sim, set_sim_threads, SimConfig, WorkerSpec};
+    use cluster::{SimConfig, WorkerSpec};
+    use common::{run_on, Engine};
     use dfs::{MetaOp, ReshardAction, ReshardEvent, ShardMds, ShardMdsConfig, ShardPlacement};
     use simcore::SimTime;
 
@@ -164,10 +167,9 @@ fn shardmds_counters_identical_across_engines_and_thread_counts() {
         "shardmds.reshard_events",
     ];
 
-    let run = |threads: Option<usize>| {
-        set_sim_threads(threads);
+    let run = |engine: Engine| {
         let (getters, report) = simcore::telemetry::capture(|| {
-            let mut model = ShardMds::new(ShardMdsConfig {
+            let model = ShardMds::new(ShardMdsConfig {
                 shards: 4,
                 placement: ShardPlacement::Subtree,
                 table: vec![("/".to_owned(), 0), ("/hot".to_owned(), 1)],
@@ -194,13 +196,8 @@ fn shardmds_counters_identical_across_engines_and_thread_counts() {
                     }) as Box<dyn cluster::OpStream>
                 })
                 .collect();
-            run_sim(
-                &mut model,
-                &node_names,
-                specs,
-                streams,
-                &SimConfig::default(),
-            );
+            let cfg = SimConfig::default();
+            let (_, model) = run_on(engine, model, &node_names, specs, streams, &cfg);
             [
                 ("shardmds.lookups", model.lookups()),
                 ("shardmds.placement_rpcs", model.placement_rpcs()),
@@ -208,20 +205,24 @@ fn shardmds_counters_identical_across_engines_and_thread_counts() {
                 ("shardmds.failovers", model.failovers()),
             ]
         });
-        set_sim_threads(None);
         // the model's own getters read what telemetry counted, on the
         // partitioned engine too (its replicas rejoin the model)
         for (name, value) in getters {
             assert_eq!(
                 value,
                 report.counter(name),
-                "{name}: model getter and telemetry counter differ at --sim-threads {threads:?}"
+                "{name}: model getter and telemetry counter differ on {engine:?}"
             );
         }
         report
     };
 
-    let unpartitioned = run(None);
+    let unpartitioned = run(Engine::Unsplit);
+    assert_eq!(
+        unpartitioned.counter("par.windows"),
+        0,
+        "the reference run is unpartitioned"
+    );
     let total_ops = (NODES * PPN) as u64 * OPS;
     assert_eq!(unpartitioned.counter("shardmds.lookups"), total_ops);
     assert!(
@@ -233,9 +234,13 @@ fn shardmds_counters_identical_across_engines_and_thread_counts() {
         "the schedule must actually migrate under live traffic"
     );
 
-    let windowed = run(Some(1));
+    let windowed = run(Engine::Windowed(1));
+    assert!(
+        windowed.counter("par.windows") > 0,
+        "the windowed engine ran"
+    );
     for threads in [2usize, 4] {
-        let r = run(Some(threads));
+        let r = run(Engine::Windowed(threads));
         for name in COUNTERS {
             assert_eq!(
                 r.counter(name),
